@@ -63,7 +63,6 @@ SCENARIO_NAME = "churn-smoke-20" if CHURN_SMOKE else "churn-120"
 def _force_plans(ext) -> None:
     ext.flow_plans
     ext.gamma_plans
-    ext.merged_gamma_plan
 
 
 def _carried_plans(old_ext, new_ext) -> int:

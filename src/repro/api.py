@@ -7,8 +7,8 @@ builders, the solver entry point with its unified
 hot path.
 
 The old per-commodity object-walk accessors (``solve_traffic``,
-``resource_usage``, ``all_marginal_costs``, ``all_edge_marginals``,
-``external_inputs``) remain importable from this module for one release,
+``resource_usage``, ``all_marginal_costs``, ``external_inputs``) remain
+importable from this module for one release,
 but raise :class:`DeprecationWarning` on access: their array-backed
 replacements live on :class:`ModelState` (see the migration table in
 ``docs/api.md``).  The originals stay where they always were
@@ -35,7 +35,7 @@ from repro.core import (
     build_solution,
     initial_routing,
 )
-from repro.core.state import ModelState, active_core, use_array_core
+from repro.core.state import ModelState
 from repro.options import SolveOptions
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "build_solution",
     # the array core
     "ModelState",
-    "active_core",
-    "use_array_core",
     # configs / instrumentation
     "GradientConfig",
     "BackpressureConfig",
@@ -79,11 +77,7 @@ _DEPRECATED_HOT_STATE = {
     ),
     "all_marginal_costs": (
         "repro.core.marginals",
-        "ModelState.of(ext).marginal_costs(phi_flat, dadf)",
-    ),
-    "all_edge_marginals": (
-        "repro.core.marginals",
-        "ModelState.of(ext).edge_marginals_dense(dadf, dadr_flat)",
+        "ModelState.of(ext).marginal_costs(phi_flat, dadf, delta)",
     ),
 }
 

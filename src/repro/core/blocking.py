@@ -39,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.routing import RoutingState
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 
 __all__ = [
@@ -147,71 +148,31 @@ def compute_all_blocked_sets(
     phi_zero_tol: float = 1e-12,
     phi_positive_tol: float = 1e-12,
 ) -> np.ndarray:
-    """:func:`compute_blocked_sets` for every commodity in one pass: ``(J, E)``.
+    """:func:`compute_blocked_sets` for every commodity in one pass.
 
-    Flattens the commodities' disjoint index spaces (node ``j*V + v``, edge
-    ``j*E + e``) so the improper-link test is a single vector comparison and
-    the tag flood is one cross-commodity reverse wave.  Row ``j`` is
-    elementwise identical to the per-commodity function.  ``dadr`` and
-    ``delta`` are the stacked ``(J, V)`` / ``(J, E)`` arrays.
+    Runs over the allowed cells of :class:`~repro.core.state.ModelState`:
+    ``delta`` is the cell-space ``(P,)`` vector of an iteration context and
+    the result is a ``(P,)`` bool mask in the same cell order.  The
+    improper-link test is one vector comparison over the cells and the tag
+    flood one cross-commodity reverse wave over ``ModelState``'s height
+    levels, skipping the levels below the first improper edge.  Each cell
+    equals the per-commodity function's entry.  ``dadr`` is the stacked
+    ``(J, V)`` array.
     """
-    mel = ext.merged_edge_list
-    num_flat_edges = ext.num_commodities * ext.num_edges
-    phi_flat = routing.phi.reshape(-1)
-    t_flat = traffic.reshape(-1)
-    dadr_flat = dadr.reshape(-1)
-    delta_flat = delta.reshape(-1)
-
-    blocked = np.zeros((ext.num_commodities, ext.num_edges), dtype=bool)
-    fe, ft, fh = mel.edges, mel.tails, mel.heads
-    if fe.size == 0:
-        return blocked
-
-    frac = phi_flat[fe]
-    t_tail = t_flat[ft]
-    dadr_tail = dadr_flat[ft]
-    carries = frac > phi_positive_tol
-    uphill = mel.g_tails * dadr_tail <= mel.g_heads * dadr_flat[fh]
-    movable = t_tail > 0.0
-    threshold = (eta / np.where(movable, t_tail, 1.0)) * (
-        delta_flat[fe] - dadr_tail
+    state = ModelState.of(ext)
+    blocked = np.zeros(state.num_cells, dtype=bool)
+    state.blocked_sets_block(
+        blocked,
+        routing.phi.reshape(-1),
+        traffic.reshape(-1),
+        dadr.reshape(-1),
+        delta,
+        eta,
+        0,
+        ext.num_commodities,
+        phi_zero_tol=phi_zero_tol,
+        phi_positive_tol=phi_positive_tol,
     )
-    improper_vals = carries & uphill & movable & (frac >= threshold)
-    if not improper_vals.any():
-        # no improper link anywhere => no tag can flood => nothing is blocked
-        return blocked
-
-    # per-level positions into the merged edge list let the flood reuse the
-    # masks already computed above instead of scattering them dense and
-    # re-gathering (plus re-testing phi) at every level
-    cached = getattr(ext, "_reverse_level_mel_pos", None)
-    if cached is None:
-        lookup = np.empty(num_flat_edges, dtype=np.intp)
-        lookup[fe] = np.arange(fe.size)
-        level_pos = [
-            lookup[edges] for edges, *_rest in ext.merged_reverse_plan.levels
-        ]
-        mel_level = np.empty(fe.size, dtype=np.intp)
-        for b, pos in enumerate(level_pos):
-            mel_level[pos] = b
-        cached = ext._reverse_level_mel_pos = (level_pos, mel_level)
-    level_pos, mel_level = cached
-
-    # tags are all-False until the first level holding an improper edge, so
-    # every earlier level's flood pass is a no-op; start there
-    first = int(mel_level[np.flatnonzero(improper_vals)].min())
-
-    tags = np.zeros(ext.num_commodities * ext.num_nodes, dtype=bool)
-    for (edges, _raw, tails, heads, _gains, _costs, _uh, unique_tails), pos in zip(
-        ext.merged_reverse_plan.levels[first:], level_pos[first:]
-    ):
-        contrib = improper_vals[pos] | (carries[pos] & tags[heads])
-        if unique_tails:
-            tags[tails] |= contrib
-        else:
-            np.logical_or.at(tags, tails, contrib)
-
-    blocked.reshape(-1)[fe] = (frac <= phi_zero_tol) & tags[fh]
     return blocked
 
 

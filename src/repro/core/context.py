@@ -25,13 +25,12 @@ import numpy as np
 from repro.core.marginals import (
     CostBreakdown,
     CostModel,
-    all_edge_marginals,
     all_marginal_costs,
     evaluate_cost,
     link_cost_derivative,
 )
 from repro.core.routing import RoutingState, resource_usage, solve_traffic
-from repro.core.state import ModelState, use_array_core
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
 
@@ -42,6 +41,9 @@ __all__ = ["IterationContext", "build_iteration_context"]
 class IterationContext:
     """All per-iteration quantities of one routing state, computed once.
 
+    ``delta`` is cell-space: entry ``p`` is the edge marginal of the
+    ``p``-th allowed cell of :class:`~repro.core.state.ModelState` (see
+    ``ModelState.edge_marginals_dense`` for the ``(J, E)`` view).
     ``dadr`` and ``delta`` are ``None`` when the context was built with
     ``with_derivatives=False`` (recording-only consumers such as the
     distributed runner's per-record cost evaluation).
@@ -54,7 +56,7 @@ class IterationContext:
     breakdown: CostBreakdown  # A = Y + eps * D and its components
     dadf: Optional[np.ndarray]  # (E,): eq. (11)
     dadr: Optional[np.ndarray]  # (J, V): eq. (9)
-    delta: Optional[np.ndarray]  # (J, E): eq. (15)'s bracket
+    delta: Optional[np.ndarray]  # (P,): eq. (15)'s bracket per allowed cell
 
     @property
     def cost(self) -> float:
@@ -87,17 +89,9 @@ def build_iteration_context(
     if with_derivatives:
         with instrumentation.phase("derivatives"):
             dadf = link_cost_derivative(ext, cost_model, edge_usage, node_usage)
-            dadr = all_marginal_costs(ext, routing, dadf)
-            if use_array_core():
-                # sparse fill over the allowed cells only: every consumer of
-                # the context's delta masks to allowed cells, where this is
-                # bit-identical to the dense table (off-graph cells read 0.0
-                # here instead of the meaningless dense dadr[head] term)
-                delta = ModelState.of(ext).edge_marginals_dense(
-                    dadf, dadr.reshape(-1)
-                )
-            else:
-                delta = all_edge_marginals(ext, dadf, dadr)
+            # the reverse wave emits eq. (15)'s bracket per allowed cell
+            delta = np.empty(ModelState.of(ext).num_cells, dtype=float)
+            dadr = all_marginal_costs(ext, routing, dadf, delta)
     return IterationContext(
         routing=routing,
         traffic=traffic,

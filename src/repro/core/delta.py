@@ -23,8 +23,8 @@ recompiling the world:
   pay for re-derivation.  Untouched commodities' cost/gain/allowed rows,
   topological orders, and :class:`CommodityFlowPlan`/
   :class:`CommodityGammaPlan` structures are *remapped* onto the new index
-  space with vectorized gathers; the merged cross-commodity plans then
-  splice themselves from the per-commodity plans.
+  space with vectorized gathers; the new epoch's
+  :class:`~repro.core.state.ModelState` then compiles from them.
 
 Index stability is what makes the remap sound: extended nodes are keyed by
 name and extended edges by ``(kind, physical link)`` or ``(kind, commodity
@@ -444,7 +444,7 @@ def _splice(
 def _remap_flow_plan(
     plan: CommodityFlowPlan, node_map: np.ndarray, edge_map: np.ndarray
 ) -> CommodityFlowPlan:
-    # gains/costs/offsets/unique_heads are index-free: share them with the
+    # gains/costs/offsets are index-free: share them with the
     # old plan (the remap is only valid when every element survived in
     # relative order, so block structure and values are unchanged)
     return CommodityFlowPlan(
@@ -454,7 +454,6 @@ def _remap_flow_plan(
         gains=plan.gains,
         costs=plan.costs,
         offsets=plan.offsets,
-        unique_heads=plan.unique_heads,
     )
 
 
@@ -463,10 +462,11 @@ def _remap_gamma_plan(
 ) -> CommodityGammaPlan:
     if plan.nodes.size == 0:
         return plan
+    # indptr is index-free: share it with the old plan
     return CommodityGammaPlan(
         nodes=np.ascontiguousarray(node_map[plan.nodes]),
-        edge_matrix=np.where(plan.valid, edge_map[plan.edge_matrix], 0),
-        valid=plan.valid,
+        targets=np.ascontiguousarray(edge_map[plan.targets]),
+        indptr=plan.indptr,
     )
 
 
@@ -481,8 +481,8 @@ def _splice_plans(
 
     Only plans the old network had actually built are carried (building
     them eagerly would *cost* time on consumers that never iterate).  The
-    merged cross-commodity plans rebuild lazily from the per-commodity
-    plans, which is a cheap concatenation.
+    new epoch's :class:`~repro.core.state.ModelState` compiles lazily from
+    the carried plans.
     """
     if old._flow_plans is not None:
         new._flow_plans = [
@@ -634,38 +634,8 @@ def diff_extended_networks(
         _diff_arrays(f"flow_plans[{j}].gains", pa.gains, pb.gains, diffs)
         _diff_arrays(f"flow_plans[{j}].costs", pa.costs, pb.costs, diffs)
         _diff_arrays(f"flow_plans[{j}].offsets", pa.offsets, pb.offsets, diffs)
-        _diff_arrays(
-            f"flow_plans[{j}].unique_heads", pa.unique_heads, pb.unique_heads, diffs
-        )
     for j, (ga, gb) in enumerate(zip(a.gamma_plans, b.gamma_plans)):
         _diff_arrays(f"gamma_plans[{j}].nodes", ga.nodes, gb.nodes, diffs)
-        _diff_arrays(
-            f"gamma_plans[{j}].edge_matrix", ga.edge_matrix, gb.edge_matrix, diffs
-        )
-        _diff_arrays(f"gamma_plans[{j}].valid", ga.valid, gb.valid, diffs)
-    for name, pa, pb in (
-        ("merged_forward_plan", a.merged_forward_plan, b.merged_forward_plan),
-        ("merged_reverse_plan", a.merged_reverse_plan, b.merged_reverse_plan),
-    ):
-        _diff_arrays(f"{name}.edges", pa.edges, pb.edges, diffs)
-        _diff_arrays(f"{name}.raw_edges", pa.raw_edges, pb.raw_edges, diffs)
-        _diff_arrays(f"{name}.tails", pa.tails, pb.tails, diffs)
-        _diff_arrays(f"{name}.heads", pa.heads, pb.heads, diffs)
-        _diff_arrays(f"{name}.gains", pa.gains, pb.gains, diffs)
-        _diff_arrays(f"{name}.costs", pa.costs, pb.costs, diffs)
-        _diff_arrays(f"{name}.offsets", pa.offsets, pb.offsets, diffs)
-        _diff_arrays(f"{name}.unique_heads", pa.unique_heads, pb.unique_heads, diffs)
-    mel_a, mel_b = a.merged_edge_list, b.merged_edge_list
-    _diff_arrays("merged_edge_list.edges", mel_a.edges, mel_b.edges, diffs)
-    _diff_arrays("merged_edge_list.raw_edges", mel_a.raw_edges, mel_b.raw_edges, diffs)
-    _diff_arrays("merged_edge_list.tails", mel_a.tails, mel_b.tails, diffs)
-    _diff_arrays("merged_edge_list.heads", mel_a.heads, mel_b.heads, diffs)
-    _diff_arrays("merged_edge_list.g_tails", mel_a.g_tails, mel_b.g_tails, diffs)
-    _diff_arrays("merged_edge_list.g_heads", mel_a.g_heads, mel_b.g_heads, diffs)
-    mga, mgb = a.merged_gamma_plan, b.merged_gamma_plan
-    _diff_arrays("merged_gamma_plan.nodes", mga.nodes, mgb.nodes, diffs)
-    _diff_arrays(
-        "merged_gamma_plan.edge_matrix", mga.edge_matrix, mgb.edge_matrix, diffs
-    )
-    _diff_arrays("merged_gamma_plan.valid", mga.valid, mgb.valid, diffs)
+        _diff_arrays(f"gamma_plans[{j}].targets", ga.targets, gb.targets, diffs)
+        _diff_arrays(f"gamma_plans[{j}].indptr", ga.indptr, gb.indptr, diffs)
     return diffs

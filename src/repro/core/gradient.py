@@ -52,6 +52,7 @@ from repro.core.routing import (
     validate_routing,
 )
 from repro.core.solution import Solution, build_solution
+from repro.core.state import csr_row_sums
 from repro.core.transform import CommodityGammaPlan, ExtendedNetwork
 from repro.exceptions import ConvergenceError
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
@@ -151,6 +152,12 @@ def apply_gamma_at_node(
             phi_row[e] *= scale
 
 
+def _row_sums(plan: CommodityGammaPlan, values: np.ndarray) -> np.ndarray:
+    """Per-node sums of a per-cell vector, accumulated left to right from
+    ``0.0`` in out-edge order -- the scalar kernel's accumulators."""
+    return csr_row_sums(plan.indptr, plan.positions, plan.ones, values)
+
+
 def apply_gamma_batch(
     phi_row: np.ndarray,
     plan: CommodityGammaPlan,
@@ -160,105 +167,107 @@ def apply_gamma_batch(
     eta: float,
     traffic_tol: float,
 ) -> None:
-    """Eqs. (14)-(17) for *all* of a commodity's nodes in one vectorized pass.
+    """Eqs. (14)-(17) for *all* of a plan's nodes in one vectorized pass.
 
     Bit identical to calling :func:`apply_gamma_at_node` at each node of
     ``plan`` (the sync/distributed equivalence tests pin this): every float
-    operation mirrors the scalar kernel's, and all per-node sums accumulate
-    left to right via a loop over the (small, padded) out-edge columns.
+    operation mirrors the scalar kernel's.  The pass touches only the
+    plan's cells (no padding); the per-node ``moved``, ``free`` and
+    ``frozen`` sums are CSR row-sums in out-edge order from a ``0.0``
+    accumulator, the scalar loops' association, and the best edge is the
+    first minimum (``np.argmin``'s rule, including its first-NaN rule).
     Nodes update disjoint out-edge sets, so batching over them is exact.
 
     Parameters mirror :func:`apply_gamma_at_node`, with ``plan`` replacing
     the per-node ``out`` list and ``traffic_row`` carrying ``t_i(j)`` for
-    every extended node.
+    every node.  ``phi_row`` is read and written at ``plan.targets``;
+    ``delta`` and ``blocked`` are read at ``plan.cells``.
     """
-    if plan.nodes.size == 0:
+    num_nodes = plan.nodes.size
+    if num_nodes == 0:
         return
-    edge_matrix = plan.edge_matrix
-    valid = plan.valid
-    num_nodes, width = edge_matrix.shape
-    rows = plan.rows
+    row_of, starts, positions = plan.row_of, plan.starts, plan.positions
+    num_cells = positions.size
 
-    # padding cells (valid == False) gather garbage from index 0; every read
-    # below is masked by ``valid``/``eligible``/``apply`` before it matters,
-    # and the write-back only copies the valid cells out again
-    phi = phi_row[edge_matrix]
-    delta2d = delta[edge_matrix]
+    phi = phi_row[plan.targets]
+    delta_c = delta[plan.cells]
+    t_i = traffic_row[plan.nodes]
     if blocked is None:
-        # every plan row is a branch node (>= 2 valid out-edges), so with no
-        # blocking nothing can make a row ineligible
-        eligible = valid
-        has_eligible = None
+        eligible = None
+        keyed = delta_c
     else:
-        eligible = valid & ~blocked[edge_matrix]
-        has_eligible = eligible.any(axis=1)
+        eligible = ~blocked[plan.cells]
+        has_eligible = np.logical_or.reduceat(eligible, starts)
         if not has_eligible.any():
             return
+        keyed = np.where(eligible, delta_c, np.inf)
 
-    # first eligible edge attaining the eligible minimum (scalar argmin order)
-    keyed = np.where(eligible, delta2d, np.inf)
-    best_col = np.argmin(keyed, axis=1)
-    ok = eligible[rows, best_col]
-    if not ok.all():
-        # a row whose eligible deltas are all inf (or with nothing eligible)
-        # can argmin to an ineligible column; snap to the first eligible one
-        best_col = np.where(ok, best_col, np.argmax(eligible, axis=1))
-    t_i = traffic_row[plan.nodes]
-    if has_eligible is None:
-        best_delta = keyed[rows, best_col]
+    # first eligible cell attaining the row's eligible minimum
+    hit = keyed == np.minimum.reduceat(keyed, starts)[row_of]
+    if eligible is not None:
+        hit &= eligible
+    best = np.minimum.reduceat(np.where(hit, positions, num_cells), starts)
+    missing = best == num_cells
+    if missing.any():
+        # a NaN minimum matches nothing: np.argmin picks the first NaN.  Rows
+        # with nothing eligible still find none; park them on their first
+        # cell, which they never write
+        nan_hit = np.isnan(keyed)
+        if eligible is not None:
+            nan_hit &= eligible
+        first_nan = np.minimum.reduceat(np.where(nan_hit, positions, num_cells), starts)
+        best = np.where(missing, first_nan, best)
+        best = np.where(best == num_cells, starts, best)
+    if eligible is None:
+        best_delta = delta_c[best]
         idle = t_i <= traffic_tol
         active = ~idle
     else:
         # rows with nothing eligible keep their fractions; zero their (unused)
         # best delta so the subtraction below never forms inf - inf
-        best_delta = np.where(has_eligible, keyed[rows, best_col], 0.0)
+        best_delta = np.where(has_eligible, delta_c[best], 0.0)
         idle = has_eligible & (t_i <= traffic_tol)
         active = has_eligible & ~idle
 
     if active.any():
         t_safe = np.where(t_i > 0.0, t_i, 1.0)
-        a_2d = delta2d - best_delta[:, None]
-        reduction = np.minimum(phi, (eta * a_2d) / t_safe[:, None])
-        apply = (
-            active[:, None] & eligible & (phi != 0.0) & (reduction > 0.0)
+        # fmin, like the scalar min(frac, x), keeps frac when x is NaN
+        # (an all-inf row forms inf - inf)
+        reduction = np.fmin(
+            phi, (eta * (delta_c - best_delta[row_of])) / t_safe[row_of]
         )
-        apply[rows, best_col] = False  # the best edge only ever gains
+        apply = active[row_of] & (phi != 0.0) & (reduction > 0.0)
+        if eligible is not None:
+            apply &= eligible
+        apply[best] = False  # the best edge only ever gains
         reduction = np.where(apply, reduction, 0.0)
         phi = phi - reduction  # x - 0.0 == x bitwise for the masked cells
-        moved = np.zeros(num_nodes, dtype=float)
-        for col in range(width):  # left-to-right, like the scalar accumulator
-            moved += reduction[:, col]
-        phi[rows, best_col] += moved  # already +0.0 on every inactive row
+        phi[best] += _row_sums(plan, reduction)  # +0.0 on every inactive row
 
         # eligible-only drift renormalization (scalar kernel's exact sums)
-        free = np.zeros(num_nodes, dtype=float)
-        phi_free = np.where(eligible, phi, 0.0)
-        for col in range(width):
-            free += phi_free[:, col]
-        if blocked is None:
+        if eligible is None:
             # nothing is frozen: free + 0.0 == free and 1.0 - 0.0 == 1.0
             # bitwise, so the frozen sums drop out of the scalar's formulas
-            total = free
+            free = total = _row_sums(plan, phi)
             numer = 1.0
         else:
-            frozen = np.zeros(num_nodes, dtype=float)
-            phi_frozen = np.where(valid & ~eligible, phi, 0.0)
-            for col in range(width):
-                frozen += phi_frozen[:, col]
+            free = _row_sums(plan, np.where(eligible, phi, 0.0))
+            frozen = _row_sums(plan, np.where(eligible, 0.0, phi))
             total = free + frozen
             numer = 1.0 - frozen
         need = active & (free > 0.0) & (np.abs(total - 1.0) > 1e-12)
         if need.any():
             scale = numer / np.where(free > 0.0, free, 1.0)
-            phi = np.where(
-                need[:, None] & eligible, phi * scale[:, None], phi
-            )
+            rescale = need[row_of]
+            if eligible is not None:
+                rescale &= eligible
+            phi = np.where(rescale, phi * scale[row_of], phi)
 
     if idle.any():
-        phi[idle] = 0.0
-        phi[idle, best_col[idle]] = 1.0
+        phi[idle[row_of]] = 0.0
+        phi[best[idle]] = 1.0
 
-    phi_row[plan.targets] = phi[valid]
+    phi_row[plan.targets] = phi
 
 
 @dataclass
@@ -528,6 +537,10 @@ class GradientAlgorithm:
                         routing, eta=eta, context=context,
                         instrumentation=instrumentation,
                     )
+                    # release the spent state's arrays before allocating the
+                    # next ones, so the allocator reuses their memory instead
+                    # of growing (and trimming) the heap every iteration
+                    context = None
                     context = self.compute_context(
                         routing, instrumentation=instrumentation
                     )

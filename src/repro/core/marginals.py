@@ -31,7 +31,7 @@ from repro.core.routing import (
     resource_usage,
     solve_traffic,
 )
-from repro.core.state import ModelState, use_array_core
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "marginal_cost_to_destination_scalar",
     "all_marginal_costs",
     "edge_marginals",
-    "all_edge_marginals",
     "phi_gradient",
     "OptimalityReport",
     "optimality_residual",
@@ -249,35 +248,24 @@ def marginal_cost_to_destination_scalar(
 
 
 def all_marginal_costs(
-    ext: ExtendedNetwork, routing: RoutingState, dadf: np.ndarray
+    ext: ExtendedNetwork,
+    routing: RoutingState,
+    dadf: np.ndarray,
+    delta: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``dA/dr`` for all commodities: shape ``(J, V)``.
 
-    One cross-commodity reverse wave over the merged levels of
-    :class:`~repro.core.transform.MergedWavePlan`: the commodities' flattened
-    index spaces are disjoint, so a single ordered scatter per level yields
-    each row bit-identical to :func:`marginal_cost_to_destination`.
+    One cross-commodity reverse wave of CSR row-sums over the height
+    levels of :class:`repro.core.state.ModelState` -- the contributions of
+    :func:`marginal_cost_to_destination_scalar` in its order, so each row
+    is bit identical to it.
 
-    Under the array core (the default) the wave runs as CSR mat-vec sweeps
-    over :class:`repro.core.state.ModelState`'s height levels -- same
-    contributions in the same order, still bit identical.
+    ``delta`` optionally receives eq. (15)'s bracket on every allowed cell
+    (a ``(P,)`` buffer in the cell order of
+    :class:`~repro.core.state.ModelState`): the wave computes that bracket
+    per edge anyway, so the edge marginals cost one scatter.
     """
-    phi_flat = routing.phi.reshape(-1)
-    if use_array_core():
-        return ModelState.of(ext).marginal_costs(phi_flat, dadf)
-    dadr = np.zeros((ext.num_commodities, ext.num_nodes), dtype=float)
-    dadr_flat = dadr.reshape(-1)
-    for edges, raw, tails, heads, gains, costs, _uh, unique_tails in (
-        ext.merged_reverse_plan.levels
-    ):
-        contrib = phi_flat[edges] * (
-            dadf[raw] * costs + gains * dadr_flat[heads]
-        )
-        if unique_tails:
-            dadr_flat[tails] += contrib
-        else:
-            np.add.at(dadr_flat, tails, contrib)
-    return dadr
+    return ModelState.of(ext).marginal_costs(routing.phi.reshape(-1), dadf, delta)
 
 
 def edge_marginals(
@@ -290,17 +278,6 @@ def edge_marginals(
     meaningful on the commodity's allowed edges.
     """
     return dadf * ext.cost[j] + ext.gain[j] * dadr[ext.edge_head]
-
-
-def all_edge_marginals(
-    ext: ExtendedNetwork, dadf: np.ndarray, dadr: np.ndarray
-) -> np.ndarray:
-    """:func:`edge_marginals` for all commodities at once: ``(J, E)``.
-
-    ``dadr`` is the stacked ``(J, V)`` marginal-cost array.  Row ``j`` is
-    elementwise identical to ``edge_marginals(ext, j, dadf, dadr[j])``.
-    """
-    return dadf[None, :] * ext.cost + ext.gain * dadr[:, ext.edge_head]
 
 
 def phi_gradient(
@@ -371,15 +348,18 @@ def optimality_residual(
         edge_usage, node_usage = resource_usage(ext, routing, traffic)
         dadf = link_cost_derivative(ext, cost_model, edge_usage, node_usage)
 
+    # a parallel-backend context carries dadf but not the derivative
+    # arrays; fall through to the per-commodity wave then
+    delta_table = None
+    if context is not None and context.delta is not None:
+        delta_table = ModelState.of(ext).edge_marginals_dense(context.delta)
     per_equal: List[float] = []
     per_sufficient: List[float] = []
     for view in ext.commodities:
         j = view.index
-        if context is not None and context.dadr is not None:
-            # a parallel-backend context carries dadf but not the stacked
-            # derivative arrays; fall through to the per-commodity wave then
+        if delta_table is not None:
             dadr = context.dadr[j]
-            delta = context.delta[j]
+            delta = delta_table[j]
         else:
             dadr = marginal_cost_to_destination(ext, j, routing, dadf)
             delta = edge_marginals(ext, j, dadf, dadr)

@@ -1,156 +1,154 @@
 """Sparse commodity-major model core: the :class:`ModelState` array API.
 
-Every benchmark before this module topped out around ~120 extended nodes /
-a dozen commodities, because the per-iteration hot path carried two dense
-``(J, E)`` products -- the usage sum of eq. (4) and the edge-marginal table
-of eq. (15) -- plus per-commodity Python loops in the sharded backends.  At
-fixed graph density the dense work grows like ``J * (E + V) = O(J^2)``
-while the *allowed* cells (the union of the commodities' subgraph edges)
-grow only like ``O(J)``: the dense core is asymptotically quadratic in a
-linear-sized problem.
+At fixed graph density a dense ``(J, E)`` iteration grows like
+``J * (E + V) = O(J^2)`` while the *allowed* cells (the union of the
+commodities' subgraph edges) grow only like ``O(J)``.  :class:`ModelState`
+therefore runs every phase of the paper's Section-5 iteration as one pass
+over the ``P`` allowed cells and nothing else.
 
-:class:`ModelState` stores the hot state commodity-major and flat --
-node ``j*V + v``, edge ``j*E + e`` -- behind ``scipy.sparse`` CSR
-structure, so the flow balance (eq. (3)), the marginal-cost wave
-(eqs. (9)-(11)) and the resource-usage sum (eq. (4)) all become sparse
-mat-vec sweeps over the ``P`` allowed cells with no per-edge (and no
-per-commodity) Python in the inner loop.
+Cell-space layout
+-----------------
 
-Bit-identity with the object core
----------------------------------
+The cell list holds every allowed ``(j, e)`` ordered by ``(j, e)``;
+node ``j*V + v`` and edge ``j*E + e`` are the flat ids of the commodity
+rows.  Per-cell vectors of length ``P`` -- the edge marginals ``delta`` of
+eq. (15), the blocked mask of eq. (18) -- live in this order, and a
+commodity range ``[lo, hi)`` is the contiguous slice
+``cell_starts[lo]:cell_starts[hi]``.
 
-The scalar reference accumulates floating-point sums in a specific order,
-and float addition is not associative, so "mathematically equal" is not
-enough -- this repo pins *bit* identity across every engine.  The CSR
-sweeps reproduce the scalar order exactly:
+* **Forward wave** (eq. (3)).  Edges are levelled by the longest-path
+  depth of their head, so every in-edge of a node lands in one level and
+  the node's traffic is written once.
+* **Reverse wave** (eqs. (9), (15)).  Edges are levelled by the height of
+  their tail above the sink, so a node's out-edges form one row.  Each
+  level computes eq. (15)'s bracket ``dadf * c + beta * dA/dr_head`` per
+  entry; that bracket *is* ``delta`` on the entry's cell, so the wave
+  keeps it and scatters it once into the cell-space ``delta`` vector --
+  no ``(J, E)`` table is ever built.
+* **Blocking** (eq. (18)) tests every cell elementwise and floods the
+  tags over the same reverse levels, starting at the first level that
+  holds an improper edge.
+* **Gamma** (eqs. (14)-(17)) runs on :attr:`ModelState.gamma_plan`, the
+  branch nodes' out-edge cells in CSR layout (see
+  :func:`repro.core.gradient.apply_gamma_batch`).
 
-* **Forward wave.**  Edges are levelled by the *longest-path depth of
-  their head*, so every in-edge of a node lands in one level and the
-  node's traffic is written exactly once.  Within a level, entries are
-  ordered by ``(j, scalar visitation position)``; the per-head sum is a
-  CSR row-sum, and ``scipy``'s ``csr_matvec`` accumulates the stored
-  entries sequentially from a zero accumulator -- the same
-  ``((0 + c1) + c2) + ...`` association as the scalar walk, because every
-  head's external input is zero (only dummy sources receive input and
-  they have no in-edges).  Skipped zero contributions add exact ``+0.0``
-  over non-negative partial sums, the same argument the merged level
-  plans already rely on.
-* **Reverse wave.**  Nodes are levelled by longest-path height above the
-  sink; each node's ``dA/dr`` is one CSR row-sum over its out-edges in
-  ``commodity_out_edges`` order -- the scalar gather's exact order, from
-  the same zero accumulator.
-* **Usage.**  Cells are ordered ``(j, e)``; the per-edge CSR row then
-  sums commodities in ascending ``j``, which is precisely the sequential
-  axis-0 ``np.add.reduce`` association of the dense path (off-graph dense
-  terms are exact ``+0.0``).  ``cost * (t * phi)`` against the dense
-  ``(t * phi) * cost`` is a bitwise-commutative multiply.
+Bit-identity with the scalar reference
+--------------------------------------
 
-The oracle (``repro.validate.DifferentialOracle.compare_cores``) and the
-property tests pin all of this on real and randomized instances.
+The ``*_scalar`` functions accumulate floating-point sums in a specific
+order, and float addition is not associative, so every sum here is a
+*CSR row-sum*: within a level, entries are stored row by row and, inside
+a row, in the scalar visitation order (``commodity_out_edges`` order for
+the reverse wave and Gamma).  ``scipy``'s ``csr_matvec`` accumulates a
+row's stored entries sequentially onto the output, which starts at
+``0.0`` -- the same ``((0 + c1) + c2) + ...`` association as the scalar
+loops, which start their accumulators at ``0.0`` too.  The unit weights
+multiply exactly (``1.0 * x == x``).  The sweeps call ``csr_matvec``
+directly on each level's prebuilt arrays (``S.dot`` wraps the same call
+in several microseconds of checks).  A level whose rows all hold a single
+entry skips the mat-vec and writes ``0.0 + contrib``: the zero-accumulator
+sum of one term, bitwise, including for ``-0.0``.
 
-Core selection
---------------
+* Skipped zero contributions (the scalar walks skip ``phi == 0`` edges)
+  add an exact ``+0.0`` to a non-negative partial sum.
+* **Usage** (eq. (4)): the per-edge row of an ``(E, P)`` CSR sums the
+  commodities in ascending ``j``, the dense axis-0 reduce's association.
+  **Node usage** (eq. (5)) is a ``(V, E)`` row-sum in ascending edge id,
+  the order ``np.add.at`` over ``edge_tail`` accumulates in.
 
-``REPRO_MODEL_CORE`` picks the implementation: ``"array"`` (default, this
-module) or ``"object"`` (the founding per-commodity object-walk core,
-kept as the differential reference for one release).  The switch is read
-per call, so tests can toggle it with ``monkeypatch.setenv``.
+``GradientAlgorithm.step_reference`` and the property tests pin all of
+this against the scalar functions, byte for byte.
 
 Sharding
 --------
 
-Because all hot arrays are commodity-major and levels store their entries
-sorted by commodity, a parallel shard over commodities ``[lo, hi)`` is a
-*contiguous row-block*: :meth:`ModelState.block` precomputes the level
-slices once and the block kernels run the same sparse sweeps restricted
-to the block -- this is what collapses the ~3x per-commodity dispatch
-handicap of the sharded backends (docs/parallelism.md).
+Because all hot arrays are commodity-major and levels store their rows
+sorted by flat node id (hence by commodity), a parallel shard over
+commodities ``[lo, hi)`` is a *contiguous row-block*: :meth:`ModelState.
+block` precomputes the level slices once and the block kernels run the
+same sweeps restricted to the block.  The serial engine runs the
+full-width block ``[0, J)``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from repro.core.transform import CommodityGammaPlan, ExtendedNetwork
 
-__all__ = [
-    "ModelState",
-    "WaveLevel",
-    "BlockPlans",
-    "active_core",
-    "use_array_core",
-    "MODEL_CORE_ENV",
-    "MODEL_CORE_NAMES",
-]
-
-# environment switch between the array core (default) and the legacy
-# object-walk core; read per call so tests can monkeypatch it
-MODEL_CORE_ENV = "REPRO_MODEL_CORE"
-MODEL_CORE_NAMES = ("array", "object")
+__all__ = ["ModelState", "Wave", "WaveLevel", "BlockPlans"]
 
 
-def active_core() -> str:
-    """The selected model core: ``"array"`` (default) or ``"object"``."""
-    name = os.environ.get(MODEL_CORE_ENV) or "array"
-    if name not in MODEL_CORE_NAMES:
-        raise ValueError(
-            f"unknown model core {name!r} in ${MODEL_CORE_ENV}; "
-            f"expected one of {MODEL_CORE_NAMES}"
-        )
-    return name
-
-
-def use_array_core() -> bool:
-    """True when the sparse array core should run the hot path."""
-    return active_core() == "array"
-
-
-@dataclass(frozen=True)
-class WaveLevel:
+class WaveLevel(NamedTuple):
     """One depth level of a flattened cross-commodity wave.
 
-    ``nodes`` are the level's scatter targets (flat ids, ascending, hence
-    grouped by commodity); ``S`` is the selection CSR summing the level's
-    entry contributions into them in exact scalar order.  ``entry_starts``
-    / ``node_starts`` are ``(J + 1,)`` commodity boundaries into the entry
-    arrays / ``nodes``, which is what makes a commodity range a contiguous
-    slice of every array here.
+    ``nodes`` are the level's rows (flat ids, ascending, hence grouped by
+    commodity).  The level's entries are ``[start, stop)`` of its
+    :class:`Wave`'s entry arrays, stored row by row; ``tails`` / ``heads``
+    / ``gains`` are views of that span.  ``indptr`` / ``starts`` are the
+    CSR row boundaries (both ``None`` when every row holds a single
+    entry); ``columns`` / ``ones`` complete the unit-weight CSR that
+    ``csr_matvec`` sums with.
     """
 
     nodes: np.ndarray  # (n,) flat node ids (j*V + v), ascending
-    edges: np.ndarray  # (p,) flat edge ids (j*E + e), (j, pos) order
+    tails: np.ndarray  # (p,) flat tail node ids
+    heads: np.ndarray  # (p,) flat head node ids
+    gains: np.ndarray  # (p,) gain[j, e]
+    start: int
+    stop: int
+    indptr: Optional[np.ndarray]  # (n + 1,) row boundaries; None if 1:1
+    starts: Optional[np.ndarray]  # (n,) indptr[:-1]; None if 1:1
+    columns: np.ndarray  # (p,) arange(p)
+    ones: np.ndarray  # (p,) 1.0
+
+
+class Wave(NamedTuple):
+    """One direction of a wave over a row-block: its levels in order, and
+    their entries concatenated in wave order.
+
+    Per-iteration gathers the sweep needs for every entry (``phi``,
+    ``dadf * c``) run once over these arrays; each level then reads its
+    ``[start, stop)`` slice.  ``cell_pos`` is each entry's position in the
+    cell list and ``cell_local`` the same relative to the block's first
+    cell.
+    """
+
+    levels: Tuple[WaveLevel, ...]
+    edges: np.ndarray  # (p,) flat edge ids (j*E + e)
     raw: np.ndarray  # (p,) plain edge ids
     tails: np.ndarray  # (p,) flat tail node ids
     heads: np.ndarray  # (p,) flat head node ids
     gains: np.ndarray  # (p,) gain[j, e]
     costs: np.ndarray  # (p,) cost[j, e]
-    S: sp.csr_matrix  # (n, p) selection matrix, data == 1.0
-    cell_pos: np.ndarray  # (p,) position of each entry in the cell list
-    entry_starts: np.ndarray  # (J + 1,) commodity slices into entries
-    node_starts: np.ndarray  # (J + 1,) commodity slices into nodes
+    cell_pos: np.ndarray  # (p,) position in the cell list
+    cell_local: np.ndarray  # (p,) cell_pos minus the block's first cell
+
+
+_ENTRY_FIELDS = ("edges", "raw", "tails", "heads", "gains", "costs", "cell_pos")
 
 
 @dataclass(frozen=True)
 class BlockPlans:
     """Precomputed restriction of a :class:`ModelState` to rows ``[lo, hi)``.
 
-    The per-level tuples hold ``(nodes, edges, raw, tails, heads, gains,
-    costs, S, cell_pos)`` views sliced to the block; ``gamma_plan`` is the
-    contiguous row-block of the merged Gamma plan (``None`` when the block
-    has no branch nodes).
+    ``cell_level`` maps each of the block's cells to the index of its
+    reverse level; ``gamma_plan`` is the contiguous row-block of the merged
+    Gamma plan (``None`` when the block has no branch nodes).
     """
 
     lo: int
     hi: int
-    forward: Tuple[tuple, ...]
-    reverse: Tuple[tuple, ...]
+    forward: Wave
+    reverse: Wave
     cell_lo: int
     cell_hi: int
+    cell_level: np.ndarray  # (cell_hi - cell_lo,)
     usage_S: sp.csr_matrix  # (E, cell_hi - cell_lo)
     gamma_plan: Optional[CommodityGammaPlan]
 
@@ -185,20 +183,83 @@ def _selection_csr(
     return matrix
 
 
-def _csr_row_col_block(
-    S: sp.csr_matrix, r0: int, r1: int, c0: int, c1: int
-) -> sp.csr_matrix:
-    """The ``S[r0:r1, c0:c1]`` block, assuming those rows only touch those
-    columns (true by construction for commodity row-blocks)."""
-    p0, p1 = int(S.indptr[r0]), int(S.indptr[r1])
-    return sp.csr_matrix(
-        (
-            S.data[p0:p1],
-            S.indices[p0:p1] - c0,
-            S.indptr[r0 : r1 + 1] - p0,
-        ),
-        shape=(r1 - r0, c1 - c0),
+def csr_row_sums(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """``y[i] = sum(data[k] * x[indices[k]])`` over row ``i``'s stored
+    entries, added one by one onto ``y[i] = 0.0`` -- ``csr_matvec`` called
+    directly, the same sequential sums as ``S.dot`` without its checks."""
+    y = np.zeros(indptr.size - 1, dtype=float)
+    csr_matvec(y.size, x.size, indptr, indices, data, x, y)
+    return y
+
+
+def _matvec(S: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    return csr_row_sums(S.indptr, S.indices, S.data, x)
+
+
+def _row_sums(level: WaveLevel, contrib: np.ndarray) -> np.ndarray:
+    """Per-row sums of a level's entry contributions, from ``0.0``."""
+    if level.indptr is None:
+        # one entry per row: the zero-accumulator sum of a single term
+        return 0.0 + contrib
+    return csr_row_sums(level.indptr, level.columns, level.ones, contrib)
+
+
+def _make_wave(
+    levels: List[Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]], c0: int
+) -> Wave:
+    """A :class:`Wave` from ``(nodes, row of each entry, entry arrays)``
+    per level, each level's entries already stored row by row."""
+    cat = {
+        name: np.concatenate([entries[name] for _, _, entries in levels])
+        if levels
+        else np.empty(0, dtype=float if name in ("gains", "costs") else np.intp)
+        for name in _ENTRY_FIELDS
+    }
+    out = []
+    stop = 0
+    for nodes, rows, _entries in levels:
+        start, stop = stop, stop + rows.size
+        counts = np.bincount(rows, minlength=nodes.size)
+        if np.all(counts == 1):
+            indptr = starts = None
+        else:
+            indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+            starts = indptr[:-1]
+        out.append(
+            WaveLevel(
+                nodes=nodes,
+                tails=cat["tails"][start:stop],
+                heads=cat["heads"][start:stop],
+                gains=cat["gains"][start:stop],
+                start=start,
+                stop=stop,
+                indptr=indptr,
+                starts=starts,
+                columns=np.arange(rows.size, dtype=np.intp),
+                ones=np.ones(rows.size, dtype=float),
+            )
+        )
+    return Wave(
+        levels=tuple(out),
+        edges=cat["edges"],
+        raw=cat["raw"],
+        tails=cat["tails"],
+        heads=cat["heads"],
+        gains=cat["gains"],
+        costs=cat["costs"],
+        cell_pos=cat["cell_pos"],
+        cell_local=cat["cell_pos"] - c0,
     )
+
+
+def _cell_levels(wave: Wave, num_cells: int) -> np.ndarray:
+    """The index of the level holding each of the block's cells (-1: none)."""
+    levels = np.full(num_cells, -1, dtype=np.intp)
+    for b, level in enumerate(wave.levels):
+        levels[wave.cell_local[level.start : level.stop]] = b
+    return levels
 
 
 class ModelState:
@@ -220,15 +281,13 @@ class ModelState:
         self.num_nodes = V
         self.edge_tail = ext.edge_tail
 
-        plans = ext.flow_plans
-
         # -- cell list: every allowed (j, e), ordered by (j, e) ----------------
-        cell_parts_e: List[np.ndarray] = []
-        for j in range(J):
-            cell_parts_e.append(np.asarray(ext.commodity_edge_arrays[j], dtype=np.intp))
-        cell_counts = np.array([part.size for part in cell_parts_e], dtype=np.intp)
+        cell_parts = [
+            np.asarray(ext.commodity_edge_arrays[j], dtype=np.intp) for j in range(J)
+        ]
+        cell_counts = np.array([part.size for part in cell_parts], dtype=np.intp)
         raw_cells = (
-            np.concatenate(cell_parts_e) if cell_parts_e else np.empty(0, dtype=np.intp)
+            np.concatenate(cell_parts) if cell_parts else np.empty(0, dtype=np.intp)
         )
         cell_j = np.repeat(np.arange(J, dtype=np.intp), cell_counts)
         self.cell_raw = raw_cells
@@ -243,21 +302,20 @@ class ModelState:
         self.cell_g_head = np.ascontiguousarray(
             ext.node_potentials[cell_j, ext.edge_head[raw_cells]]
         )
-        self.cell_starts = np.concatenate(
-            ([0], np.cumsum(cell_counts))
-        ).astype(np.intp)
+        self.cell_starts = np.concatenate(([0], np.cumsum(cell_counts))).astype(
+            np.intp
+        )
         self.num_cells = int(self.cell_edges.size)
 
         # eq. (4): per-edge usage as one (E, P) CSR whose row ``e`` holds the
-        # commodity cells of ``e`` in ascending ``j`` -- the dense axis-0
-        # reduce's association
+        # commodity cells of ``e`` in ascending ``j``
         self.usage_S = _selection_csr(
-            self.cell_raw,
-            np.arange(E, dtype=np.intp),
-            data=self.cell_cost,
+            self.cell_raw, np.arange(E, dtype=np.intp), data=self.cell_cost
         )
+        # eq. (5): per-node usage as one (V, E) CSR in ascending edge id
+        self.node_S = _selection_csr(ext.edge_tail, np.arange(V, dtype=np.intp))
 
-        # position of a flat edge in the cell list (for the tag flood)
+        # position of a flat edge in the cell list
         cell_lookup = np.full(J * E, -1, dtype=np.intp)
         cell_lookup[self.cell_edges] = np.arange(self.num_cells, dtype=np.intp)
 
@@ -265,7 +323,7 @@ class ModelState:
         fwd_rows: List[Tuple[np.ndarray, ...]] = []
         rev_rows: List[Tuple[np.ndarray, ...]] = []
         for j in range(J):
-            plan = plans[j]
+            plan = ext.flow_plans[j]
             p = plan.edges.size
             if p == 0:
                 continue
@@ -281,72 +339,85 @@ class ModelState:
                 np.maximum.at(height, plan.tails[s:e], height[plan.heads[s:e]] + 1)
             pos = np.arange(p, dtype=np.intp)
             j_col = np.full(p, j, dtype=np.intp)
-            fwd_rows.append(
-                (depth[plan.heads], j_col, pos, plan.edges, plan.tails, plan.heads,
-                 plan.gains, plan.costs)
-            )
-            rev_rows.append(
-                (height[plan.tails], j_col, pos, plan.edges, plan.tails, plan.heads,
-                 plan.gains, plan.costs)
-            )
+            common = (pos, plan.edges, plan.tails, plan.heads, plan.gains, plan.costs)
+            fwd_rows.append((depth[plan.heads], j_col) + common)
+            rev_rows.append((height[plan.tails], j_col) + common)
 
-        def build_levels(rows: List[Tuple[np.ndarray, ...]], by_head: bool):
+        def build_wave(rows: List[Tuple[np.ndarray, ...]], by_head: bool) -> Wave:
             if not rows:
-                return ()
-            key = np.concatenate([r[0] for r in rows])
-            j_col = np.concatenate([r[1] for r in rows])
-            pos = np.concatenate([r[2] for r in rows])
-            edges = np.concatenate([r[3] for r in rows])
-            tails = np.concatenate([r[4] for r in rows])
-            heads = np.concatenate([r[5] for r in rows])
-            gains = np.concatenate([r[6] for r in rows])
-            costs = np.concatenate([r[7] for r in rows])
-            order = np.lexsort((pos, j_col, key))
-            key, j_col = key[order], j_col[order]
+                return _make_wave([], 0)
+            key, j_col, pos, edges, tails, heads, gains, costs = (
+                np.concatenate([r[k] for r in rows]) for k in range(8)
+            )
+            scatter = j_col * V + (heads if by_head else tails)
+            # level, then row (flat node id), then scalar visitation order:
+            # each row's entries are contiguous and in the scalar order
+            order = np.lexsort((pos, scatter, key))
+            key, j_col, scatter = key[order], j_col[order], scatter[order]
             edges, tails, heads = edges[order], tails[order], heads[order]
             gains, costs = gains[order], costs[order]
             flat_edges = j_col * E + edges
-            flat_tails = j_col * V + tails
-            flat_heads = j_col * V + heads
             levels = []
-            j_range = np.arange(J + 1, dtype=np.intp)
             for s, e in _level_split(key):
-                scatter = flat_heads[s:e] if by_head else flat_tails[s:e]
-                nodes = np.unique(scatter)
+                nodes, rows_of = np.unique(scatter[s:e], return_inverse=True)
                 levels.append(
-                    WaveLevel(
-                        nodes=nodes,
-                        edges=flat_edges[s:e],
-                        raw=edges[s:e],
-                        tails=flat_tails[s:e],
-                        heads=flat_heads[s:e],
-                        gains=np.ascontiguousarray(gains[s:e]),
-                        costs=np.ascontiguousarray(costs[s:e]),
-                        S=_selection_csr(scatter, nodes),
-                        cell_pos=cell_lookup[flat_edges[s:e]],
-                        entry_starts=np.searchsorted(j_col[s:e], j_range).astype(
-                            np.intp
-                        ),
-                        node_starts=np.searchsorted(nodes // V, j_range).astype(
-                            np.intp
+                    (
+                        nodes,
+                        rows_of,
+                        dict(
+                            edges=flat_edges[s:e],
+                            raw=edges[s:e],
+                            tails=j_col[s:e] * V + tails[s:e],
+                            heads=j_col[s:e] * V + heads[s:e],
+                            gains=gains[s:e],
+                            costs=costs[s:e],
+                            cell_pos=cell_lookup[flat_edges[s:e]],
                         ),
                     )
                 )
-            return tuple(levels)
+            return _make_wave(levels, 0)
 
-        self.forward_levels = build_levels(fwd_rows, by_head=True)
-        self.reverse_levels = build_levels(rev_rows, by_head=False)
+        forward = build_wave(fwd_rows, by_head=True)
+        reverse = build_wave(rev_rows, by_head=False)
+        cell_level = _cell_levels(reverse, self.num_cells)
+        if (cell_level < 0).any():
+            # the reverse wave must emit delta on every allowed cell
+            raise ValueError("flow plans do not cover every allowed cell")
 
-        # merged Gamma plan row boundaries per commodity (rows are appended
-        # in commodity order by _build_merged_gamma_plan)
-        gamma_counts = np.array(
-            [ext.gamma_plans[j].nodes.size for j in range(J)], dtype=np.intp
-        )
+        # -- Gamma: every commodity's branch-node rows, flat-indexed -------------
+        gamma = ext.gamma_plans
+        gamma_counts = np.array([g.nodes.size for g in gamma], dtype=np.intp)
         self.gamma_starts = np.concatenate(([0], np.cumsum(gamma_counts))).astype(
             np.intp
         )
+        empty = [np.empty(0, dtype=np.intp)]
+        targets = np.concatenate(
+            [g.targets + j * E for j, g in enumerate(gamma)] or empty
+        )
+        widths = np.concatenate([np.diff(g.indptr) for g in gamma] or empty)
+        self.gamma_plan = CommodityGammaPlan(
+            nodes=np.concatenate(
+                [g.nodes + j * V for j, g in enumerate(gamma)] or empty
+            ),
+            targets=targets,
+            indptr=np.concatenate(([0], np.cumsum(widths))).astype(np.intp),
+            cells=cell_lookup[targets],
+        )
 
-        self._blocks: Dict[Tuple[int, int], BlockPlans] = {}
+        full = BlockPlans(
+            lo=0,
+            hi=J,
+            forward=forward,
+            reverse=reverse,
+            cell_lo=0,
+            cell_hi=self.num_cells,
+            cell_level=cell_level,
+            usage_S=self.usage_S,
+            gamma_plan=self.gamma_plan if self.gamma_plan.nodes.size else None,
+        )
+        self.forward_levels = forward.levels
+        self.reverse_levels = reverse.levels
+        self._blocks: Dict[Tuple[int, int], BlockPlans] = {(0, J): full}
 
     # -- construction / caching ----------------------------------------------------
     @classmethod
@@ -361,55 +432,56 @@ class ModelState:
     # -- full-width kernels ----------------------------------------------------------
     def solve_traffic_into(self, t_flat: np.ndarray, phi_flat: np.ndarray) -> None:
         """Eq. (3) forward wave over ``t_flat`` (pre-filled with external
-        inputs), one CSR mat-vec per depth level."""
-        for lv in self.forward_levels:
-            contrib = t_flat[lv.tails] * phi_flat[lv.edges] * lv.gains
-            t_flat[lv.nodes] = lv.S.dot(contrib)
+        inputs), one CSR row-sum per depth level."""
+        self.solve_traffic_block(t_flat, phi_flat, 0, self.num_commodities)
 
     def resource_usage(
         self, phi_flat: np.ndarray, t_flat: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Eqs. (4)-(5) from the allowed cells only: ``O(P + E)``, not
         ``O(J * E)``."""
-        contrib = t_flat[self.cell_tails] * phi_flat[self.cell_edges]
-        edge_usage = self.usage_S.dot(contrib)
-        node_usage = np.zeros(self.num_nodes, dtype=float)
-        np.add.at(node_usage, self.edge_tail, edge_usage)
-        return edge_usage, node_usage
+        edge_usage = self.usage_partial_block(
+            phi_flat, t_flat, 0, self.num_commodities
+        )
+        return edge_usage, self.node_usage(edge_usage)
+
+    def node_usage(self, edge_usage: np.ndarray) -> np.ndarray:
+        """Eq. (5): sum each node's out-edge usage in ascending edge id."""
+        return _matvec(self.node_S, edge_usage)
 
     def marginal_costs_into(
-        self, dadr_flat: np.ndarray, phi_flat: np.ndarray, dadf: np.ndarray
+        self,
+        dadr_flat: np.ndarray,
+        phi_flat: np.ndarray,
+        dadf: np.ndarray,
+        delta: Optional[np.ndarray] = None,
     ) -> None:
-        """Eq. (9) reverse wave into ``dadr_flat`` (pre-zeroed)."""
-        for lv in self.reverse_levels:
-            contrib = phi_flat[lv.edges] * (
-                dadf[lv.raw] * lv.costs + lv.gains * dadr_flat[lv.heads]
-            )
-            dadr_flat[lv.nodes] = lv.S.dot(contrib)
+        """Eq. (9) reverse wave into ``dadr_flat`` (pre-zeroed); with
+        ``delta`` (a ``(P,)`` buffer) it also stores eq. (15) per cell."""
+        self.marginal_costs_block(
+            dadr_flat, phi_flat, dadf, 0, self.num_commodities, delta
+        )
 
-    def marginal_costs(self, phi_flat: np.ndarray, dadf: np.ndarray) -> np.ndarray:
+    def marginal_costs(
+        self,
+        phi_flat: np.ndarray,
+        dadf: np.ndarray,
+        delta: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         dadr = np.zeros((self.num_commodities, self.num_nodes), dtype=float)
-        self.marginal_costs_into(dadr.reshape(-1), phi_flat, dadf)
+        self.marginal_costs_into(dadr.reshape(-1), phi_flat, dadf, delta)
         return dadr
 
-    def edge_marginals_dense(
-        self, dadf: np.ndarray, dadr_flat: np.ndarray
-    ) -> np.ndarray:
-        """Eq. (15)'s bracket as a sparse-filled ``(J, E)`` table.
+    def edge_marginals_dense(self, delta: np.ndarray) -> np.ndarray:
+        """A cell-space ``delta`` as a ``(J, E)`` table.
 
-        Allowed cells carry the exact dense expression; off-graph cells are
-        0.0 (the dense object core leaves ``dadr[head]`` there, but every
-        consumer of the iteration context's ``delta`` masks to allowed
-        cells, so the difference is unobservable -- the public
-        :func:`repro.core.marginals.all_edge_marginals` keeps the dense
-        semantics for direct callers).
+        Allowed cells carry ``delta``; off-graph cells are 0.0 (the dense
+        :func:`repro.core.marginals.edge_marginals` leaves a meaningless
+        ``dadr[head]`` term there, which no consumer reads).
         """
-        delta = np.zeros((self.num_commodities, self.num_edges), dtype=float)
-        delta.reshape(-1)[self.cell_edges] = (
-            dadf[self.cell_raw] * self.cell_cost
-            + self.cell_gain * dadr_flat[self.cell_heads]
-        )
-        return delta
+        table = np.zeros((self.num_commodities, self.num_edges), dtype=float)
+        table.reshape(-1)[self.cell_edges] = delta
+        return table
 
     # -- row-block kernels (shards of the parallel backends) --------------------------
     def block(self, lo: int, hi: int) -> BlockPlans:
@@ -418,57 +490,57 @@ class ModelState:
         plans = self._blocks.get(key)
         if plans is not None:
             return plans
-
-        def slice_levels(levels: Tuple[WaveLevel, ...]) -> Tuple[tuple, ...]:
-            out = []
-            for lv in levels:
-                s, e = int(lv.entry_starts[lo]), int(lv.entry_starts[hi])
-                if s == e:
-                    continue
-                r0, r1 = int(lv.node_starts[lo]), int(lv.node_starts[hi])
-                out.append(
-                    (
-                        lv.nodes[r0:r1],
-                        lv.edges[s:e],
-                        lv.raw[s:e],
-                        lv.tails[s:e],
-                        lv.heads[s:e],
-                        lv.gains[s:e],
-                        lv.costs[s:e],
-                        _csr_row_col_block(lv.S, r0, r1, s, e),
-                        lv.cell_pos[s:e],
-                    )
-                )
-            return tuple(out)
-
+        V = self.num_nodes
         c0, c1 = int(self.cell_starts[lo]), int(self.cell_starts[hi])
-        usage_S = sp.csr_matrix(
-            (
-                self.cell_cost[c0:c1],
-                (self.cell_raw[c0:c1], np.arange(c1 - c0, dtype=np.intp)),
-            ),
-            shape=(self.num_edges, c1 - c0),
-        )
-        usage_S.sort_indices()
+        node_lo, node_hi = lo * V, hi * V
 
-        g0, g1 = int(self.gamma_starts[lo]), int(self.gamma_starts[hi])
+        def slice_wave(wave: Wave) -> Wave:
+            levels = []
+            for lv in wave.levels:
+                r0, r1 = np.searchsorted(lv.nodes, [node_lo, node_hi])
+                if r0 == r1:
+                    continue
+                if lv.indptr is None:
+                    s, e = r0, r1
+                    rows = np.arange(r1 - r0, dtype=np.intp)
+                else:
+                    s, e = int(lv.indptr[r0]), int(lv.indptr[r1])
+                    rows = np.repeat(
+                        np.arange(r1 - r0, dtype=np.intp),
+                        np.diff(lv.indptr[r0 : r1 + 1]),
+                    )
+                span = slice(lv.start + s, lv.start + e)
+                entries = {name: getattr(wave, name)[span] for name in _ENTRY_FIELDS}
+                levels.append((lv.nodes[r0:r1], rows, entries))
+            return _make_wave(levels, c0)
+
+        reverse = slice_wave(self.block(0, self.num_commodities).reverse)
+
         gamma_plan: Optional[CommodityGammaPlan] = None
+        g0, g1 = int(self.gamma_starts[lo]), int(self.gamma_starts[hi])
         if g1 > g0:
-            merged = self.ext.merged_gamma_plan
+            merged = self.gamma_plan
+            k0, k1 = int(merged.indptr[g0]), int(merged.indptr[g1])
             gamma_plan = CommodityGammaPlan(
                 nodes=merged.nodes[g0:g1],
-                edge_matrix=merged.edge_matrix[g0:g1],
-                valid=merged.valid[g0:g1],
+                targets=merged.targets[k0:k1],
+                indptr=merged.indptr[g0 : g1 + 1] - k0,
+                cells=merged.cells[k0:k1],
             )
 
         plans = BlockPlans(
             lo=lo,
             hi=hi,
-            forward=slice_levels(self.forward_levels),
-            reverse=slice_levels(self.reverse_levels),
+            forward=slice_wave(self.block(0, self.num_commodities).forward),
+            reverse=reverse,
             cell_lo=c0,
             cell_hi=c1,
-            usage_S=usage_S,
+            cell_level=_cell_levels(reverse, c1 - c0),
+            usage_S=_selection_csr(
+                self.cell_raw[c0:c1],
+                np.arange(self.num_edges, dtype=np.intp),
+                data=self.cell_cost[c0:c1],
+            ),
             gamma_plan=gamma_plan,
         )
         self._blocks[key] = plans
@@ -479,11 +551,13 @@ class ModelState:
     ) -> None:
         """Forward wave restricted to rows ``[lo, hi)`` (rows pre-filled
         with external inputs).  Reads and writes only the block's rows."""
-        for nodes, edges, _raw, tails, _heads, gains, _costs, S, _cp in self.block(
-            lo, hi
-        ).forward:
-            contrib = t_flat[tails] * phi_flat[edges] * gains
-            t_flat[nodes] = S.dot(contrib)
+        wave = self.block(lo, hi).forward
+        phi = phi_flat[wave.edges]
+        for level in wave.levels:
+            contrib = t_flat[level.tails]
+            contrib *= phi[level.start : level.stop]
+            contrib *= level.gains
+            t_flat[level.nodes] = _row_sums(level, contrib)
 
     def usage_partial_block(
         self, phi_flat: np.ndarray, t_flat: np.ndarray, lo: int, hi: int
@@ -497,7 +571,7 @@ class ModelState:
         plans = self.block(lo, hi)
         c0, c1 = plans.cell_lo, plans.cell_hi
         contrib = t_flat[self.cell_tails[c0:c1]] * phi_flat[self.cell_edges[c0:c1]]
-        return plans.usage_S.dot(contrib)
+        return _matvec(plans.usage_S, contrib)
 
     def marginal_costs_block(
         self,
@@ -506,59 +580,55 @@ class ModelState:
         dadf: np.ndarray,
         lo: int,
         hi: int,
+        delta: Optional[np.ndarray] = None,
     ) -> None:
-        """Reverse wave restricted to rows ``[lo, hi)`` (rows pre-zeroed)."""
-        for nodes, edges, raw, _tails, heads, gains, costs, S, _cp in self.block(
-            lo, hi
-        ).reverse:
-            contrib = phi_flat[edges] * (dadf[raw] * costs + gains * dadr_flat[heads])
-            dadr_flat[nodes] = S.dot(contrib)
+        """Reverse wave restricted to rows ``[lo, hi)`` (rows pre-zeroed).
 
-    def edge_marginals_block(
-        self,
-        delta_flat: np.ndarray,
-        dadf: np.ndarray,
-        dadr_flat: np.ndarray,
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Sparse-fill the block's rows of the ``delta`` table (rows
-        pre-zeroed)."""
-        plans = self.block(lo, hi)
-        c0, c1 = plans.cell_lo, plans.cell_hi
-        delta_flat[self.cell_edges[c0:c1]] = (
-            dadf[self.cell_raw[c0:c1]] * self.cell_cost[c0:c1]
-            + self.cell_gain[c0:c1] * dadr_flat[self.cell_heads[c0:c1]]
-        )
+        Each entry's bracket ``dadf * c + beta * dA/dr_head`` is eq. (15)'s
+        ``delta`` on its cell; with a ``(P,)`` ``delta`` buffer the wave
+        stores it there, covering every cell of the block.
+        """
+        wave = self.block(lo, hi).reverse
+        phi = phi_flat[wave.edges]
+        bracket = dadf[wave.raw] * wave.costs
+        for level in wave.levels:
+            # complete the level's brackets now that their heads are final
+            part = bracket[level.start : level.stop]
+            part += level.gains * dadr_flat[level.heads]
+            contrib = phi[level.start : level.stop] * part
+            dadr_flat[level.nodes] = _row_sums(level, contrib)
+        if delta is not None:
+            delta[wave.cell_pos] = bracket
 
     def blocked_sets_block(
         self,
-        blocked_flat: np.ndarray,
+        blocked: np.ndarray,
         phi_flat: np.ndarray,
         t_flat: np.ndarray,
         dadr_flat: np.ndarray,
-        delta_flat: np.ndarray,
+        delta: np.ndarray,
         eta: float,
         lo: int,
         hi: int,
         phi_zero_tol: float = 1e-12,
         phi_positive_tol: float = 1e-12,
     ) -> bool:
-        """Eq. (18) blocked sets for rows ``[lo, hi)``, written into the
-        pre-cleared ``blocked_flat``; returns whether anything is blocked.
+        """Eq. (18) blocked sets for rows ``[lo, hi)``; returns whether
+        anything is blocked.
 
-        Identical comparisons to :func:`repro.core.blocking.
-        compute_all_blocked_sets` restricted to the block's cells; the tag
-        flood runs the block's reverse levels (boolean OR, order-free).
+        ``blocked`` and ``delta`` are cell-space ``(P,)`` vectors; the
+        block's cells of ``blocked`` are written (all of them, when
+        anything is blocked).  Identical comparisons to
+        :func:`repro.core.blocking.compute_blocked_sets_scalar`; the tag
+        flood is a boolean OR per reverse-level row, so its order is free.
         """
         plans = self.block(lo, hi)
         c0, c1 = plans.cell_lo, plans.cell_hi
         if c1 == c0:
             return False
-        fe = self.cell_edges[c0:c1]
         ft = self.cell_tails[c0:c1]
         fh = self.cell_heads[c0:c1]
-        frac = phi_flat[fe]
+        frac = phi_flat[self.cell_edges[c0:c1]]
         t_tail = t_flat[ft]
         dadr_tail = dadr_flat[ft]
         carries = frac > phi_positive_tol
@@ -568,16 +638,28 @@ class ModelState:
         )
         movable = t_tail > 0.0
         threshold = (eta / np.where(movable, t_tail, 1.0)) * (
-            delta_flat[fe] - dadr_tail
+            delta[c0:c1] - dadr_tail
         )
         improper = carries & uphill & movable & (frac >= threshold)
         if not improper.any():
+            # no improper link anywhere => no tag can flood => nothing blocked
             return False
 
+        # tags are all-False until the first level holding an improper edge,
+        # so every earlier level's flood pass is a no-op; start there
+        first = int(plans.cell_level[improper].min())
+        wave = plans.reverse
+        improper = improper[wave.cell_local]
+        carries = carries[wave.cell_local]
         tags = np.zeros(self.num_commodities * self.num_nodes, dtype=bool)
-        for _nodes, _edges, _raw, tails, heads, _g, _c, _S, cell_pos in plans.reverse:
-            pos = cell_pos - c0
-            contrib = improper[pos] | (carries[pos] & tags[heads])
-            np.logical_or.at(tags, tails, contrib)
-        blocked_flat[fe] = (frac <= phi_zero_tol) & tags[fh]
-        return bool(blocked_flat[fe].any())
+        for level in wave.levels[first:]:
+            at = slice(level.start, level.stop)
+            contrib = improper[at] | (carries[at] & tags[level.heads])
+            # every out-edge of a tail lies in this level: one write per row
+            if level.starts is None:
+                tags[level.nodes] = contrib
+            else:
+                tags[level.nodes] = np.logical_or.reduceat(contrib, level.starts)
+        cells = (frac <= phi_zero_tol) & tags[fh]
+        blocked[c0:c1] = cells
+        return bool(cells.any())

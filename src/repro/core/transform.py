@@ -45,8 +45,6 @@ __all__ = [
     "ExtEdgeKind",
     "CommodityFlowPlan",
     "CommodityGammaPlan",
-    "MergedWavePlan",
-    "MergedEdgeList",
     "ExtendedNetwork",
     "ExtSkeleton",
     "build_extended_network",
@@ -133,96 +131,50 @@ class CommodityFlowPlan:
     gains: np.ndarray  # (P,) gain[j, edge]
     costs: np.ndarray  # (P,) cost[j, edge]
     offsets: np.ndarray  # (B + 1,) block boundaries into the flat arrays
-    # per block: are all heads distinct?  If so the scatter-add can use the
-    # much faster fancy ``+=`` without changing any accumulation order.
-    unique_heads: np.ndarray  # (B,) bool
 
 
 @dataclass(frozen=True)
 class CommodityGammaPlan:
-    """Padded per-node out-edge matrix for the batched update map ``Gamma``.
+    """Unpadded per-node out-edge lists for the batched update map ``Gamma``.
 
     Covers exactly the nodes the synchronous engine updates: non-sink nodes
     of the commodity subgraph with at least two allowed out-edges (a single
-    out-edge always carries fraction 1).  Row ``n`` of ``edge_matrix`` holds
-    node ``nodes[n]``'s out-edge ids in ``commodity_out_edges`` order, padded
-    with 0 where ``valid`` is False.
+    out-edge always carries fraction 1).  Row ``n``'s out-edges are
+    ``targets[indptr[n]:indptr[n + 1]]`` in ``commodity_out_edges`` order:
+    a CSR layout over the valid cells only, so every per-node sum of the
+    kernel is a CSR row-sum in the scalar kernel's order.
 
-    The *merged* plan (:attr:`ExtendedNetwork.merged_gamma_plan`) reuses this
-    structure with flattened cross-commodity ids (node ``j*V + v``, edge
-    ``j*E + e``) so one kernel call covers every commodity at once.
+    ``targets`` index the routing row; ``cells`` index the ``delta`` and
+    ``blocked`` vectors, and equal ``targets`` unless given.  The merged
+    plan of :class:`repro.core.state.ModelState` uses flattened
+    cross-commodity ids (node ``j*V + v``, edge ``j*E + e``) for ``nodes``
+    and ``targets`` and positions in its cell list for ``cells``.
     """
 
     nodes: np.ndarray  # (N,) node ids
-    edge_matrix: np.ndarray  # (N, K) edge ids, 0-padded
-    valid: np.ndarray  # (N, K) bool
-    # derived, filled in __post_init__: row index vector and the flat edge ids
-    # of the valid cells, cached because the Gamma kernel runs every iteration
-    rows: np.ndarray = None  # (N,)
-    targets: np.ndarray = None  # (sum(valid),) == edge_matrix[valid]
+    targets: np.ndarray  # (K,) edge ids, row by row
+    indptr: np.ndarray  # (N + 1,) row boundaries into targets
+    cells: np.ndarray = None  # (K,) delta / blocked positions (default: targets)
+    # derived, filled in __post_init__ because the kernel runs every
+    # iteration: the row of each cell, each row's first cell, the cell
+    # positions and the unit CSR weights the row sums multiply by
+    row_of: np.ndarray = None  # (K,)
+    starts: np.ndarray = None  # (N,) == indptr[:-1]
+    positions: np.ndarray = None  # (K,) == arange(K)
+    ones: np.ndarray = None  # (K,) == 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", np.arange(self.nodes.size))
-        object.__setattr__(self, "targets", self.edge_matrix[self.valid])
-
-
-@dataclass(frozen=True)
-class MergedWavePlan:
-    """Cross-commodity level structure for one direction of the flow waves.
-
-    Each *level* concatenates one topo block from every commodity (forward:
-    block ``k``; reverse: block ``B_j - 1 - k``, so every commodity's own
-    blocks still execute in order).  All indices are flattened across
-    commodities -- node ``j*V + v``, edge ``j*E + e`` -- which keeps the
-    commodities' index spaces disjoint: a single ordered ``np.add.at`` per
-    level reproduces every commodity's scalar accumulation order exactly
-    while amortizing the per-call NumPy overhead over all of them.
-    """
-
-    edges: np.ndarray  # (P,) flat commodity-edge ids (j*E + e)
-    raw_edges: np.ndarray  # (P,) plain edge ids (for shared per-edge arrays)
-    tails: np.ndarray  # (P,) flat node ids (j*V + v)
-    heads: np.ndarray  # (P,) flat node ids
-    gains: np.ndarray  # (P,) gain[j, edge]
-    costs: np.ndarray  # (P,) cost[j, edge]
-    offsets: np.ndarray  # (L + 1,) level boundaries
-    unique_heads: np.ndarray  # (L,) all heads distinct within the level?
-    # per-level views (edges, raw_edges, tails, heads, gains, costs,
-    # unique_heads, unique_tails) pre-sliced once at build time -- the waves
-    # run every iteration and the slice arithmetic alone is measurable at
-    # this scale.  The two uniqueness flags let forward (scatter by head) and
-    # reverse (scatter by tail) waves use fancy ``+=`` instead of ``ufunc.at``
-    # wherever the level's scatter targets are distinct.
-    levels: Tuple[
-        Tuple[
-            np.ndarray,
-            np.ndarray,
-            np.ndarray,
-            np.ndarray,
-            np.ndarray,
-            np.ndarray,
-            bool,
-            bool,
-        ],
-        ...,
-    ] = ()
-
-
-@dataclass(frozen=True)
-class MergedEdgeList:
-    """All commodities' allowed edges, flat-indexed, in commodity order.
-
-    ``g_tails`` / ``g_heads`` pre-gather the (static) node potentials at each
-    edge's endpoints so the per-iteration improper-link test skips two fancy
-    gathers.
-    """
-
-    edges: np.ndarray  # (P,) flat commodity-edge ids (j*E + e)
-    raw_edges: np.ndarray  # (P,) plain edge ids
-    tails: np.ndarray  # (P,) flat node ids (j*V + v)
-    heads: np.ndarray  # (P,) flat node ids
-    g_tails: np.ndarray = None  # (P,) node_potentials at tails
-    g_heads: np.ndarray = None  # (P,) node_potentials at heads
+        num_cells = self.targets.size
+        if self.cells is None:
+            object.__setattr__(self, "cells", self.targets)
+        object.__setattr__(
+            self,
+            "row_of",
+            np.repeat(np.arange(self.nodes.size, dtype=np.intp), np.diff(self.indptr)),
+        )
+        object.__setattr__(self, "starts", self.indptr[:-1])
+        object.__setattr__(self, "positions", np.arange(num_cells, dtype=np.intp))
+        object.__setattr__(self, "ones", np.ones(num_cells, dtype=float))
 
 
 class ExtendedNetwork:
@@ -329,10 +281,6 @@ class ExtendedNetwork:
         self._flow_plans: Optional[List[CommodityFlowPlan]] = None
         self._gamma_plans: Optional[List[CommodityGammaPlan]] = None
         self._commodity_edge_arrays: Optional[List[np.ndarray]] = None
-        self._merged_forward_plan: Optional[MergedWavePlan] = None
-        self._merged_reverse_plan: Optional[MergedWavePlan] = None
-        self._merged_gamma_plan: Optional[CommodityGammaPlan] = None
-        self._merged_edge_list: Optional[MergedEdgeList] = None
 
         # the canonical layout this network was built from; set by
         # build_extended_network and the delta splicer.  The splicer reads
@@ -349,7 +297,6 @@ class ExtendedNetwork:
         self._commodity_rows: Optional[np.ndarray] = None
         self._utility_at_max: Optional[np.ndarray] = None
         self._linear_utility_weights: Any = False
-        self._reverse_level_mel_pos: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def flow_plans(self) -> List[CommodityFlowPlan]:
@@ -360,7 +307,7 @@ class ExtendedNetwork:
 
     @property
     def gamma_plans(self) -> List[CommodityGammaPlan]:
-        """Per-commodity padded out-edge matrices for the batched ``Gamma``."""
+        """Per-commodity unpadded out-edge lists for the batched ``Gamma``."""
         if self._gamma_plans is None:
             self._gamma_plans = [self._build_gamma_plan(c) for c in self.commodities]
         return self._gamma_plans
@@ -373,160 +320,6 @@ class ExtendedNetwork:
                 np.asarray(c.edge_indices, dtype=np.intp) for c in self.commodities
             ]
         return self._commodity_edge_arrays
-
-    @property
-    def merged_forward_plan(self) -> MergedWavePlan:
-        """Cross-commodity levels for the forward flow solve (eq. (3))."""
-        if self._merged_forward_plan is None:
-            self._merged_forward_plan = self._build_merged_wave(reverse=False)
-        return self._merged_forward_plan
-
-    @property
-    def merged_reverse_plan(self) -> MergedWavePlan:
-        """Cross-commodity levels for the backward waves (eq. (9), tags)."""
-        if self._merged_reverse_plan is None:
-            self._merged_reverse_plan = self._build_merged_wave(reverse=True)
-        return self._merged_reverse_plan
-
-    @property
-    def merged_gamma_plan(self) -> CommodityGammaPlan:
-        """All commodities' ``Gamma`` rows in one flat-indexed plan."""
-        if self._merged_gamma_plan is None:
-            self._merged_gamma_plan = self._build_merged_gamma_plan()
-        return self._merged_gamma_plan
-
-    @property
-    def merged_edge_list(self) -> MergedEdgeList:
-        """All commodities' allowed edges with flattened cross-commodity ids."""
-        if self._merged_edge_list is None:
-            raw = [self.commodity_edge_arrays[j] for j in range(self.num_commodities)]
-            raw_edges = (
-                np.concatenate(raw) if raw else np.empty(0, dtype=np.intp)
-            )
-            flat = np.concatenate(
-                [arr + j * self.num_edges for j, arr in enumerate(raw)]
-            ) if raw else np.empty(0, dtype=np.intp)
-            tails = np.concatenate(
-                [
-                    self.edge_tail[arr] + j * self.num_nodes
-                    for j, arr in enumerate(raw)
-                ]
-            ) if raw else np.empty(0, dtype=np.intp)
-            heads = np.concatenate(
-                [
-                    self.edge_head[arr] + j * self.num_nodes
-                    for j, arr in enumerate(raw)
-                ]
-            ) if raw else np.empty(0, dtype=np.intp)
-            g_flat = self.node_potentials.reshape(-1)
-            self._merged_edge_list = MergedEdgeList(
-                edges=flat,
-                raw_edges=raw_edges,
-                tails=tails,
-                heads=heads,
-                g_tails=g_flat[tails],
-                g_heads=g_flat[heads],
-            )
-        return self._merged_edge_list
-
-    def _build_merged_wave(self, reverse: bool) -> MergedWavePlan:
-        plans = self.flow_plans
-        E, V = self.num_edges, self.num_nodes
-        num_levels = max(
-            (len(p.offsets) - 1 for p in plans), default=0
-        )
-        edges: List[np.ndarray] = []
-        raw_edges: List[np.ndarray] = []
-        tails: List[np.ndarray] = []
-        heads: List[np.ndarray] = []
-        gains: List[np.ndarray] = []
-        costs: List[np.ndarray] = []
-        offsets: List[int] = [0]
-        unique: List[bool] = []
-        total = 0
-        unique_tails: List[bool] = []
-        for level in range(num_levels):
-            first_part = len(heads)
-            for j, plan in enumerate(plans):
-                num_blocks = len(plan.offsets) - 1
-                b = (num_blocks - 1 - level) if reverse else level
-                if b < 0 or b >= num_blocks:
-                    continue
-                s, e = plan.offsets[b], plan.offsets[b + 1]
-                edges.append(plan.edges[s:e] + j * E)
-                raw_edges.append(plan.edges[s:e])
-                tails.append(plan.tails[s:e] + j * V)
-                heads.append(plan.heads[s:e] + j * V)
-                gains.append(plan.gains[s:e])
-                costs.append(plan.costs[s:e])
-                total += e - s
-            offsets.append(total)
-            level_heads = (
-                np.concatenate(heads[first_part:])
-                if len(heads) > first_part
-                else np.empty(0, dtype=np.intp)
-            )
-            level_tails = (
-                np.concatenate(tails[first_part:])
-                if len(tails) > first_part
-                else np.empty(0, dtype=np.intp)
-            )
-            unique.append(int(np.unique(level_heads).size) == level_heads.size)
-            unique_tails.append(int(np.unique(level_tails).size) == level_tails.size)
-
-        def cat(parts, dtype):
-            return (
-                np.ascontiguousarray(np.concatenate(parts))
-                if parts
-                else np.empty(0, dtype=dtype)
-            )
-
-        plan = MergedWavePlan(
-            edges=cat(edges, np.intp),
-            raw_edges=cat(raw_edges, np.intp),
-            tails=cat(tails, np.intp),
-            heads=cat(heads, np.intp),
-            gains=cat(gains, float),
-            costs=cat(costs, float),
-            offsets=np.asarray(offsets, dtype=np.intp),
-            unique_heads=np.asarray(unique, dtype=bool),
-        )
-        levels = tuple(
-            (
-                plan.edges[s:e],
-                plan.raw_edges[s:e],
-                plan.tails[s:e],
-                plan.heads[s:e],
-                plan.gains[s:e],
-                plan.costs[s:e],
-                bool(plan.unique_heads[b]),
-                unique_tails[b],
-            )
-            for b, (s, e) in enumerate(zip(plan.offsets[:-1], plan.offsets[1:]))
-        )
-        object.__setattr__(plan, "levels", levels)
-        return plan
-
-    def _build_merged_gamma_plan(self) -> CommodityGammaPlan:
-        plans = self.gamma_plans
-        E, V = self.num_edges, self.num_nodes
-        rows = sum(p.nodes.size for p in plans)
-        width = max((p.edge_matrix.shape[1] for p in plans if p.nodes.size), default=0)
-        nodes = np.empty(rows, dtype=np.intp)
-        edge_matrix = np.zeros((rows, width), dtype=np.intp)
-        valid = np.zeros((rows, width), dtype=bool)
-        at = 0
-        for j, plan in enumerate(plans):
-            n, k = plan.edge_matrix.shape
-            if n == 0:
-                continue
-            nodes[at : at + n] = plan.nodes + j * V
-            edge_matrix[at : at + n, :k] = np.where(
-                plan.valid, plan.edge_matrix + j * E, 0
-            )
-            valid[at : at + n, :k] = plan.valid
-            at += n
-        return CommodityGammaPlan(nodes=nodes, edge_matrix=edge_matrix, valid=valid)
 
     def _build_flow_plan(self, view: "CommodityView") -> CommodityFlowPlan:
         j = view.index
@@ -552,13 +345,6 @@ class ExtendedNetwork:
         heads = self.edge_head[edges] if edges.size else np.empty(0, dtype=np.intp)
         gains = self.gain[j, edges] if edges.size else np.empty(0, dtype=float)
         costs = self.cost[j, edges] if edges.size else np.empty(0, dtype=float)
-        unique = np.array(
-            [
-                len(set(heads[s:e].tolist())) == e - s
-                for s, e in zip(offsets[:-1], offsets[1:])
-            ],
-            dtype=bool,
-        )
         return CommodityFlowPlan(
             edges=edges,
             tails=np.asarray(tails, dtype=np.intp),
@@ -566,34 +352,22 @@ class ExtendedNetwork:
             gains=np.asarray(gains, dtype=float),
             costs=np.asarray(costs, dtype=float),
             offsets=np.asarray(offsets, dtype=np.intp),
-            unique_heads=unique,
         )
 
     def _build_gamma_plan(self, view: "CommodityView") -> CommodityGammaPlan:
-        j = view.index
-        out_lists = self.commodity_out_edges[j]
+        out_lists = self.commodity_out_edges[view.index]
         nodes = [
             node
             for node in view.node_indices
             if node != view.sink and len(out_lists[node]) >= 2
         ]
-        if not nodes:
-            return CommodityGammaPlan(
-                nodes=np.empty(0, dtype=np.intp),
-                edge_matrix=np.empty((0, 0), dtype=np.intp),
-                valid=np.empty((0, 0), dtype=bool),
-            )
-        width = max(len(out_lists[node]) for node in nodes)
-        edge_matrix = np.zeros((len(nodes), width), dtype=np.intp)
-        valid = np.zeros((len(nodes), width), dtype=bool)
-        for row, node in enumerate(nodes):
-            out = out_lists[node]
-            edge_matrix[row, : len(out)] = out
-            valid[row, : len(out)] = True
+        widths = [len(out_lists[node]) for node in nodes]
         return CommodityGammaPlan(
             nodes=np.asarray(nodes, dtype=np.intp),
-            edge_matrix=edge_matrix,
-            valid=valid,
+            targets=np.asarray(
+                [e for node in nodes for e in out_lists[node]], dtype=np.intp
+            ),
+            indptr=np.concatenate(([0], np.cumsum(widths))).astype(np.intp),
         )
 
     def _compute_node_potentials(self) -> np.ndarray:

@@ -8,21 +8,18 @@ rows.  :class:`ParallelBackend` shards that per-commodity work across a
 :class:`~concurrent.futures.ProcessPoolExecutor`, keeping the iterates
 **bit-identical** to the serial engine:
 
-* workers run the per-commodity kernels that are already pinned
-  bit-identical to the merged cross-commodity kernels the serial engine
-  uses (``solve_traffic_commodity``, ``marginal_cost_to_destination``,
-  ``compute_blocked_sets``, ``apply_gamma_batch`` over the per-commodity
-  plan);
-* the only cross-commodity coupling -- summing per-commodity resource usage
-  into ``edge_usage`` (eq. (4)) -- is reduced on the master by the *same*
-  fixed-order ``np.add.reduce`` call over the same ``(J, E)`` bits as the
-  serial path, regardless of worker completion order;
+* workers run the serial engine's own CSR sweeps restricted to a
+  contiguous commodity row-block (:meth:`repro.core.state.ModelState.
+  block`);
+* the only cross-commodity coupling -- summing resource usage into
+  ``edge_usage`` (eq. (4)) -- is reduced on the master from per-shard
+  partials in ascending shard order, regardless of worker completion
+  order, which reproduces the serial row-sum association exactly;
 * everything else the master computes (cost breakdown, ``dadf``) runs the
   identical serial functions on those identical bits.
 
-:class:`SerialBackend` is the default and is a verbatim move of the previous
-inline code paths of :class:`~repro.core.gradient.GradientAlgorithm`, so
-``backend=None`` is a zero-behavior change.
+:class:`SerialBackend` is the default: one pass over the allowed cells of
+the network's :class:`~repro.core.state.ModelState` per iteration.
 
 See ``docs/parallelism.md`` for the design discussion and when sharding
 actually pays off.
@@ -41,7 +38,7 @@ from repro.core.context import IterationContext, build_iteration_context
 from repro.core.gradient import GradientConfig, apply_gamma_batch
 from repro.core.marginals import evaluate_cost, link_cost_derivative
 from repro.core.routing import RoutingState
-from repro.core.state import ModelState, use_array_core
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ParallelExecutionError
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
@@ -139,6 +136,7 @@ class ExecutionBackend:
             routing = self.step(
                 routing, eta=eta, context=context, instrumentation=instrumentation
             )
+            context = None  # let the next context reuse the spent one's memory
             context = self.build_context(routing, instrumentation=instrumentation)
         return routing, context
 
@@ -198,27 +196,26 @@ class SerialBackend(ExecutionBackend):
         if context is None:
             context = self.build_context(routing, instrumentation=instrumentation)
         new_phi = routing.phi.copy()
+        # one pass over the allowed cells: the context's cell-space delta
+        # feeds the blocked sets and Gamma, both indexed by the same cells
+        plan = ModelState.of(ext).gamma_plan
 
-        blocked: Optional[np.ndarray]
+        blocked: Optional[np.ndarray] = None
         if cfg.use_blocking:
             with inst.phase("blocking"):
                 blocked = compute_all_blocked_sets(
                     ext, routing, context.traffic, context.dadr, context.delta, eta
-                ).reshape(-1)
+                )
             if not blocked.any():
                 # an empty blocked set is indistinguishable from no blocking;
                 # let the kernel take its cheaper unblocked path
                 blocked = None
-        else:
-            blocked = None
-        # one kernel call for every commodity: the merged plan's flattened
-        # (j*V + v, j*E + e) ids index the raveled views below
         with inst.phase("gamma"):
             apply_gamma_batch(
                 new_phi.reshape(-1),
-                ext.merged_gamma_plan,
+                plan,
                 context.traffic.reshape(-1),
-                context.delta.reshape(-1),
+                context.delta,
                 blocked,
                 eta,
                 cfg.traffic_tol,
@@ -301,9 +298,6 @@ class ParallelBackend(ExecutionBackend):
         # fixed for the pool's lifetime; later refreshes re-shard within it
         self._pool_size: int = 0
         self._barrier: Optional[Any] = None
-        # resolved at pool start and shipped to the workers: does this pool
-        # run the array core's row-block kernels (repro.core.state)?
-        self._array: bool = False
 
     # -- lifecycle -----------------------------------------------------------------
     def bind(self, ext: ExtendedNetwork, config: GradientConfig) -> None:
@@ -324,14 +318,9 @@ class ParallelBackend(ExecutionBackend):
                 "GradientAlgorithm(..., backend=...) or call bind(ext, config)"
             )
         ext = self._ext
-        # resolve the model core once for the pool's lifetime; the flag is
-        # shipped to every worker so the two sides can never disagree
-        self._array = use_array_core()
-        # build the lazy plans once on the master so the pickled network the
-        # workers receive already carries them
-        _ = ext.flow_plans, ext.gamma_plans, ext.merged_gamma_plan
-        if self._array:
-            ModelState.of(ext)
+        # build the model state once on the master so the pickled network
+        # the workers receive already carries it
+        ModelState.of(ext)
         shm = SharedArraySet()
         try:
             shape_je = (ext.num_commodities, ext.num_edges)
@@ -339,12 +328,9 @@ class ParallelBackend(ExecutionBackend):
             self._pool_size = len(self._shards)
             shm.create("phi", shape_je)
             shm.create("phi_next", shape_je)
-            # array core: one (E,) usage partial per shard, summed by the
-            # master in shard order -- O(S * E) shm instead of O(J * E)
-            shm.create(
-                "usage",
-                (self._pool_size, ext.num_edges) if self._array else shape_je,
-            )
+            # one (E,) usage partial per shard, summed by the master in
+            # shard order -- O(S * E) shm instead of O(J * E)
+            shm.create("usage", (self._pool_size, ext.num_edges))
             shm.create("traffic", (ext.num_commodities, ext.num_nodes))
             shm.create("dadf", (ext.num_edges,))
             import multiprocessing
@@ -361,10 +347,7 @@ class ParallelBackend(ExecutionBackend):
             self._pool = ProcessPoolExecutor(
                 max_workers=self._pool_size,
                 initializer=init_worker,
-                initargs=(
-                    ext, shm.specs, self._inject_fault, self._barrier,
-                    self._array,
-                ),
+                initargs=(ext, shm.specs, self._inject_fault, self._barrier),
                 mp_context=ctx,
             )
         except BaseException:
@@ -430,17 +413,12 @@ class ParallelBackend(ExecutionBackend):
     def _reduce_usage(self, arrays: Dict[str, np.ndarray]) -> np.ndarray:
         """Deterministic fixed-order usage reduce (eq. (4)).
 
-        Object core: the same ``np.add.reduce`` over the same ``(J, E)``
-        bits as the serial path.  Array core: per-shard ``(E,)`` partials
-        summed in ascending-commodity shard order -- contiguous sub-sums of
-        the serial CSR row sum, so the association (and every output bit)
-        is unchanged.  Either way worker completion order cannot influence
-        a single bit.
+        Per-shard ``(E,)`` partials summed in ascending-commodity shard
+        order -- contiguous sub-sums of the serial CSR row sum, so the
+        association (and every output bit) is unchanged and worker
+        completion order cannot influence a single bit.
         """
-        rows = arrays["usage"]
-        if self._array:
-            rows = rows[: len(self._shards)]
-        return np.add.reduce(rows, axis=0)
+        return np.add.reduce(arrays["usage"][: len(self._shards)], axis=0)
 
     # -- epoch refresh -------------------------------------------------------------
     def refresh(self, applied: Any, instrumentation: Any = None) -> None:
@@ -461,19 +439,13 @@ class ParallelBackend(ExecutionBackend):
             self._ext = ext
             return
         if applied.structural:
-            # build the lazy plans before pickling, as _ensure_started does
-            _ = ext.flow_plans, ext.gamma_plans, ext.merged_gamma_plan
-            if self._array:
-                ModelState.of(ext)
+            # build the model state before pickling, as _ensure_started does
+            ModelState.of(ext)
             shm = self._shm
             shapes = {
                 "phi": (ext.num_commodities, ext.num_edges),
                 "phi_next": (ext.num_commodities, ext.num_edges),
-                "usage": (
-                    (self._pool_size, ext.num_edges)
-                    if self._array
-                    else (ext.num_commodities, ext.num_edges)
-                ),
+                "usage": (self._pool_size, ext.num_edges),
                 "traffic": (ext.num_commodities, ext.num_nodes),
                 "dadf": (ext.num_edges,),
             }
@@ -534,8 +506,7 @@ class ParallelBackend(ExecutionBackend):
             np.copyto(arrays["phi"], routing.phi)
             results = self._dispatch("forecast", indexed=True)
             edge_usage = self._reduce_usage(arrays)
-            node_usage = np.zeros(ext.num_nodes, dtype=float)
-            np.add.at(node_usage, ext.edge_tail, edge_usage)
+            node_usage = ModelState.of(ext).node_usage(edge_usage)
             traffic = arrays["traffic"].copy()
             breakdown = evaluate_cost(
                 ext, routing, cfg.cost_model, traffic, usage=(edge_usage, node_usage)
@@ -651,8 +622,7 @@ class ParallelBackend(ExecutionBackend):
                 # same fixed-order reduce and master-side derivative as the
                 # synchronous build_context, over the batch-final rows
                 edge_usage = self._reduce_usage(arrays)
-                node_usage = np.zeros(ext.num_nodes, dtype=float)
-                np.add.at(node_usage, ext.edge_tail, edge_usage)
+                node_usage = ModelState.of(ext).node_usage(edge_usage)
                 traffic = arrays["traffic"].copy()
                 routing = RoutingState(new_phi)
                 breakdown = evaluate_cost(

@@ -5,7 +5,7 @@ for its isolation twice per iteration: every dispatch crosses a pickle
 boundary and every array crosses a shared-memory mapping.  For mid-sized
 instances that overhead dwarfs the per-commodity compute -- the TAB-PARALLEL
 regression this module fixes.  :class:`ThreadBackend` runs the *same*
-per-commodity kernels on a :class:`~concurrent.futures.ThreadPoolExecutor`
+row-block kernels on a :class:`~concurrent.futures.ThreadPoolExecutor`
 instead: the workers share the master's arrays directly, so a dispatch is a
 few-microsecond queue hop and nothing is ever copied or pickled.
 
@@ -16,17 +16,14 @@ docs/parallelism.md for the crossover numbers).
 
 The bit-identity contract is inherited unchanged:
 
-* each worker thread runs the per-commodity kernels
-  (``solve_traffic_commodity``, ``marginal_cost_to_destination``,
-  ``compute_blocked_sets``, ``apply_gamma_batch`` over the per-commodity
-  plan) that are already pinned bit-identical to the serial engine's merged
-  kernels;
-* every kernel reads and writes **only its own commodity's rows** (pinned by
-  the blocking/marginals tests), so threads on disjoint shards share arrays
-  without a single racing byte;
-* the only cross-commodity coupling -- the usage reduce (eq. (4)) -- happens
-  on the master via the same fixed-order ``np.add.reduce`` call as the
-  serial path, so thread completion order cannot influence an output bit.
+* each worker thread runs the serial engine's CSR sweeps restricted to its
+  contiguous commodity row-block of the shared
+  :class:`~repro.core.state.ModelState`;
+* every kernel reads and writes **only its own block's rows and cells**,
+  so threads on disjoint shards share arrays without a single racing byte;
+* the only cross-commodity coupling -- the usage reduce (eq. (4)) --
+  happens on the master, summing per-shard partials in ascending shard
+  order, so thread completion order cannot influence an output bit.
 """
 
 from __future__ import annotations
@@ -38,21 +35,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocking import compute_blocked_sets
 from repro.core.context import IterationContext
-from repro.core.gradient import GradientConfig, apply_gamma_batch
-from repro.core.marginals import (
-    edge_marginals,
-    evaluate_cost,
-    link_cost_derivative,
-    marginal_cost_to_destination,
-)
-from repro.core.routing import RoutingState, external_inputs, solve_traffic_commodity
-from repro.core.state import ModelState, use_array_core
+from repro.core.gradient import GradientConfig
+from repro.core.marginals import evaluate_cost, link_cost_derivative
+from repro.core.routing import RoutingState, external_inputs
+from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ParallelExecutionError
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
 from repro.parallel.backend import ExecutionBackend, _split_shards
+from repro.parallel.worker import gamma_rows
 
 __all__ = ["ThreadBackend"]
 
@@ -97,9 +89,7 @@ class ThreadBackend(ExecutionBackend):
         self._phi_next: Optional[np.ndarray] = None
         self._dadf: Optional[np.ndarray] = None
         self._loaded_for: Optional[RoutingState] = None
-        # array-core mode (repro.core.state): shards run the row-block CSR
-        # kernels of the shared ModelState instead of per-commodity walks
-        self._mode: Optional[str] = None
+        # shards run the row-block CSR kernels of the shared ModelState
         self._state: Optional[ModelState] = None
         self._shard_index: Dict[int, int] = {}
         self._dadr: Optional[np.ndarray] = None
@@ -139,37 +129,22 @@ class ThreadBackend(ExecutionBackend):
                 "GradientAlgorithm(..., backend=...) or call bind(ext, config)"
             )
         shape_je = (ext.num_commodities, ext.num_edges)
-        mode = "array" if use_array_core() else "object"
-        if (
-            self._phi_next is None
-            or self._phi_next.shape != shape_je
-            or mode != self._mode
-        ):
-            self._mode = mode
+        if self._phi_next is None or self._phi_next.shape != shape_je:
             self._phi_next = np.zeros(shape_je)
             self._traffic = np.zeros((ext.num_commodities, ext.num_nodes))
             self._shards = _split_shards(ext.num_commodities, self.workers)
             self._shard_index = {lo: k for k, (lo, _hi) in enumerate(self._shards)}
-            if mode == "array":
-                # row-block sharding over the shared ModelState: per-shard
-                # usage partials (summed in shard order on the master) plus
-                # full-width dadr/delta/blocked scratch written row-wise
-                self._state = ModelState.of(ext)
-                self._usage = np.zeros((len(self._shards), ext.num_edges))
-                self._dadr = np.zeros((ext.num_commodities, ext.num_nodes))
-                self._delta = np.zeros(shape_je)
-                self._blocked = np.zeros(shape_je, dtype=bool)
-                _ = ext.merged_gamma_plan
-                for lo, hi in self._shards:
-                    # prebuild the block plans on the master so worker
-                    # threads never race the plan cache
-                    self._state.block(lo, hi)
-            else:
-                self._state = None
-                self._usage = np.zeros(shape_je)
-                # touch the lazy per-commodity plans once so iteration-time
-                # tasks never pay (or re-time) the plan construction
-                _ = ext.flow_plans, ext.gamma_plans
+            # per-shard usage partials (summed in shard order on the master)
+            # plus full-width dadr/delta/blocked scratch written block-wise
+            self._state = ModelState.of(ext)
+            self._usage = np.zeros((len(self._shards), ext.num_edges))
+            self._dadr = np.zeros((ext.num_commodities, ext.num_nodes))
+            self._delta = np.zeros(self._state.num_cells)
+            self._blocked = np.zeros(self._state.num_cells, dtype=bool)
+            for lo, hi in self._shards:
+                # prebuild the block plans on the master so worker threads
+                # never race the plan cache
+                self._state.block(lo, hi)
             if self._pool is not None and self._pool._max_workers != len(self._shards):
                 pool, self._pool = self._pool, None
                 pool.shutdown(wait=True)
@@ -185,7 +160,6 @@ class ThreadBackend(ExecutionBackend):
         self._traffic = self._usage = self._phi_next = None
         self._dadf = None
         self._loaded_for = None
-        self._mode = None
         self._state = None
         self._dadr = self._delta = self._blocked = None
 
@@ -246,55 +220,6 @@ class ThreadBackend(ExecutionBackend):
 
     # -- shard bodies (run on worker threads; rows [lo, hi) only) --------------------
     def _forecast_shard(self, lo: int, hi: int, phi: np.ndarray) -> None:
-        ext = self._ext
-        traffic = self._traffic
-        usage = self._usage
-        for j in range(lo, hi):
-            row = solve_traffic_commodity(ext, j, phi[j])
-            traffic[j] = row
-            # same elementwise association as the serial (t * phi) * cost
-            usage[j] = row[ext.edge_tail] * phi[j] * ext.cost[j]
-
-    def _step_shard(
-        self, lo: int, hi: int, routing: RoutingState, eta: float
-    ) -> Dict[str, float]:
-        ext = self._ext
-        cfg = self._config
-        traffic = self._traffic
-        phi_next = self._phi_next
-        dadf = self._dadf
-        phi = routing.phi
-        # per-sub-kernel timings, same keys as the process worker's step
-        # shard, so `profile` renders identical per-worker rows either way
-        timings = {"marginals": 0.0, "blocking": 0.0, "gamma": 0.0}
-        for j in range(lo, hi):
-            start = time.perf_counter()
-            dadr = marginal_cost_to_destination(ext, j, routing, dadf)
-            delta = edge_marginals(ext, j, dadf, dadr)
-            timings["marginals"] += time.perf_counter() - start
-            blocked: Optional[np.ndarray] = None
-            if cfg.use_blocking:
-                start = time.perf_counter()
-                blocked = compute_blocked_sets(
-                    ext, j, routing, traffic, dadr, delta, eta
-                )
-                if not blocked.any():
-                    # an all-False mask is indistinguishable from no blocking;
-                    # take the kernel's cheaper unblocked path (same bits)
-                    blocked = None
-                timings["blocking"] += time.perf_counter() - start
-            start = time.perf_counter()
-            row = phi[j].copy()
-            apply_gamma_batch(
-                row, ext.gamma_plans[j], traffic[j], delta, blocked, eta,
-                cfg.traffic_tol,
-            )
-            phi_next[j] = row
-            timings["gamma"] += time.perf_counter() - start
-        return timings
-
-    # -- array-core shard bodies (row-block CSR kernels over ModelState) -------------
-    def _forecast_shard_array(self, lo: int, hi: int, phi: np.ndarray) -> None:
         state = self._state
         t_flat = self._traffic.reshape(-1)
         phi_flat = phi.reshape(-1)
@@ -305,55 +230,27 @@ class ThreadBackend(ExecutionBackend):
             phi_flat, t_flat, lo, hi
         )
 
-    def _step_shard_array(
+    def _step_shard(
         self, lo: int, hi: int, routing: RoutingState, eta: float
     ) -> Dict[str, float]:
-        state = self._state
         cfg = self._config
-        phi = routing.phi
-        phi_flat = phi.reshape(-1)
-        t_flat = self._traffic.reshape(-1)
-        dadf = self._dadf
-        dadr_flat = self._dadr.reshape(-1)
-        delta_flat = self._delta.reshape(-1)
-        timings = {"marginals": 0.0, "blocking": 0.0, "gamma": 0.0}
-        start = time.perf_counter()
-        self._dadr[lo:hi] = 0.0
-        state.marginal_costs_block(dadr_flat, phi_flat, dadf, lo, hi)
-        self._delta[lo:hi] = 0.0
-        state.edge_marginals_block(delta_flat, dadf, dadr_flat, lo, hi)
-        timings["marginals"] = time.perf_counter() - start
-        blocked_flat: Optional[np.ndarray] = None
-        if cfg.use_blocking:
-            start = time.perf_counter()
-            self._blocked[lo:hi] = False
-            if state.blocked_sets_block(
-                self._blocked.reshape(-1),
-                phi_flat,
-                t_flat,
-                dadr_flat,
-                delta_flat,
-                eta,
-                lo,
-                hi,
-            ):
-                blocked_flat = self._blocked.reshape(-1)
-            timings["blocking"] = time.perf_counter() - start
-        start = time.perf_counter()
-        self._phi_next[lo:hi] = phi[lo:hi]
-        plan = state.block(lo, hi).gamma_plan
-        if plan is not None:
-            apply_gamma_batch(
-                self._phi_next.reshape(-1),
-                plan,
-                t_flat,
-                delta_flat,
-                blocked_flat,
-                eta,
-                cfg.traffic_tol,
-            )
-        timings["gamma"] = time.perf_counter() - start
-        return timings
+        self._phi_next[lo:hi] = routing.phi[lo:hi]
+        # per-sub-kernel timings, same keys as the process worker's step
+        # shard, so `profile` renders identical per-worker rows either way
+        return gamma_rows(
+            self._state,
+            self._phi_next.reshape(-1),
+            self._traffic.reshape(-1),
+            self._dadf,
+            self._dadr,
+            self._delta,
+            self._blocked,
+            eta,
+            cfg.use_blocking,
+            cfg.traffic_tol,
+            lo,
+            hi,
+        )
 
     # -- the two iteration halves ----------------------------------------------------
     def build_context(
@@ -368,21 +265,15 @@ class ThreadBackend(ExecutionBackend):
         ext = self._ext
         cfg = self._config
         with inst.phase("flow_solve"):
-            if self._mode == "array":
-                # seed external inputs once; shards overwrite their rows'
-                # interior nodes via the forward CSR sweep
-                np.copyto(self._traffic, external_inputs(ext))
-                forecast = self._forecast_shard_array
-            else:
-                forecast = self._forecast_shard
-            results = self._dispatch("flow_solve", forecast, routing.phi)
-            # deterministic fixed-order reduce: same call, same bits, same
-            # association as the serial resource_usage (array mode reduces
-            # per-shard partials in ascending-commodity shard order) --
-            # thread completion order cannot influence a single output bit
+            # seed external inputs once; shards overwrite their rows'
+            # interior nodes via the forward CSR sweep
+            np.copyto(self._traffic, external_inputs(ext))
+            results = self._dispatch("flow_solve", self._forecast_shard, routing.phi)
+            # deterministic fixed-order reduce of the per-shard partials in
+            # ascending-commodity shard order: the serial resource_usage's
+            # association, whatever order the threads completed in
             edge_usage = np.add.reduce(self._usage, axis=0)
-            node_usage = np.zeros(ext.num_nodes, dtype=float)
-            np.add.at(node_usage, ext.edge_tail, edge_usage)
+            node_usage = ModelState.of(ext).node_usage(edge_usage)
             traffic = self._traffic.copy()
             breakdown = evaluate_cost(
                 ext, routing, cfg.cost_model, traffic, usage=(edge_usage, node_usage)
@@ -422,9 +313,8 @@ class ThreadBackend(ExecutionBackend):
             # the scratch traffic/dadf describe some other routing state;
             # refresh them for this one
             self.build_context(routing, instrumentation=instrumentation)
-        step_fn = self._step_shard_array if self._mode == "array" else self._step_shard
         with inst.phase("thread_step"):
-            results = self._dispatch("step", step_fn, routing, eta)
+            results = self._dispatch("step", self._step_shard, routing, eta)
             new_phi = self._phi_next.copy()
         self._observe_worker_timings(inst, results)
         return RoutingState(new_phi)

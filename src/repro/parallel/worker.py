@@ -10,17 +10,17 @@ Three task phases exist; the first two mirror the halves of a serial
 iteration, the third is the bounded-staleness batch:
 
 ``forecast``
-    Solve the flow balance (eq. (3)) for each owned commodity and write its
-    traffic row and per-commodity resource-usage row into shared memory.
-    The master then performs the deterministic fixed-order reduce
-    (``np.add.reduce`` over the commodity axis -- the *same call on the same
-    bits* as the serial path) to obtain ``edge_usage``/``node_usage``.
+    Solve the flow balance (eq. (3)) for the owned commodity block and
+    write its traffic rows and its ``(E,)`` resource-usage partial into
+    shared memory.  The master then sums the partials in ascending shard
+    order -- contiguous sub-sums of the serial CSR row sum, so the same
+    bits -- to obtain ``edge_usage``/``node_usage``.
 
 ``step``
     Given the master-computed ``dadf`` (eq. (11)), run the marginal-cost
-    wave (eq. (9)), the edge marginals (eq. (15)), the blocked sets
-    (eq. (18)) and the update map ``Gamma`` (eqs. (14)-(17)) for each owned
-    commodity, writing the new routing row into the ``phi_next`` buffer.
+    wave (eq. (9), storing the edge marginals of eq. (15)), the blocked
+    sets (eq. (18)) and the update map ``Gamma`` (eqs. (14)-(17)) for the
+    owned block, writing the new routing rows into the ``phi_next`` buffer.
 
 ``batch``
     Run several full iterations privately over the owned shard with the
@@ -29,9 +29,10 @@ iteration, the third is the bounded-staleness batch:
     are re-solved every inner iteration, so only the *global* coupling is
     stale, exactly as the paper's Section-5 asynchronous protocol allows.
 
-Every kernel invoked here is the *per-commodity* variant that is pinned
-bit-identical to the merged cross-commodity kernels the serial engine runs,
-which is what makes the parallel iterates bit-identical to serial ones.
+Every phase runs the row-block kernels of the shared
+:class:`~repro.core.state.ModelState` -- the serial engine's CSR sweeps
+restricted to the shard's contiguous commodity block -- which is what makes
+the parallel iterates bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -42,20 +43,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.blocking import compute_blocked_sets
 from repro.core.delta import ScalarPatch, apply_scalar_patch
 from repro.core.gradient import apply_gamma_batch
-from repro.core.marginals import edge_marginals, marginal_cost_to_destination
-from repro.core.routing import (
-    RoutingState,
-    external_inputs_rows,
-    solve_traffic_commodity,
-)
+from repro.core.routing import external_inputs_rows
 from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.parallel.shm import ArraySpec, attach_arrays
 
-__all__ = ["init_worker", "run_shard"]
+__all__ = ["init_worker", "run_shard", "gamma_rows"]
 
 # Process-global worker state, set once by the pool initializer.
 _EXT: Optional[ExtendedNetwork] = None
@@ -63,11 +58,8 @@ _ARRAYS: Dict[str, np.ndarray] = {}
 _BLOCKS: List[Any] = []
 _FAULT: Optional[str] = None
 _BARRIER: Optional[Any] = None
-# array-core mode: the master resolves REPRO_MODEL_CORE once at pool start
-# and ships the decision here, so master and workers can never disagree
-_ARRAY_CORE: bool = False
-# private per-worker scratch for the array-core step/batch bodies, keyed by
-# shape so structural refreshes reallocate lazily
+# private per-worker scratch for the step/batch bodies, keyed by shape so
+# structural refreshes reallocate lazily
 _SCRATCH: Dict[str, np.ndarray] = {}
 
 # A refresh task must reach *every* worker exactly once; workers that
@@ -93,22 +85,16 @@ def init_worker(
     specs: ArraySpec,
     fault: Optional[str],
     barrier: Optional[Any] = None,
-    array_core: bool = False,
 ) -> None:
     """Pool initializer: receive the graph once, attach the shared arrays."""
-    global _EXT, _ARRAYS, _BLOCKS, _FAULT, _BARRIER, _ARRAY_CORE
+    global _EXT, _ARRAYS, _BLOCKS, _FAULT, _BARRIER
     _EXT = ext
     _ARRAYS, _BLOCKS = attach_arrays(specs)
     _FAULT = fault
     _BARRIER = barrier
-    _ARRAY_CORE = array_core
-    if array_core:
-        # build the shared ModelState eagerly so iteration-time tasks never
-        # pay (or re-time) its construction
-        ModelState.of(ext)
-    else:
-        # touch the lazy per-commodity plans once, for the same reason
-        _ = ext.flow_plans, ext.gamma_plans
+    # build the shared ModelState eagerly so iteration-time tasks never pay
+    # (or re-time) its construction
+    ModelState.of(ext)
     atexit.register(_close_shared_memory)
 
 
@@ -152,199 +138,107 @@ def _scratch(name: str, shape: Tuple[int, ...], dtype=float) -> np.ndarray:
     return array
 
 
-def _forecast_shard(lo: int, hi: int, shard: int) -> Dict[str, float]:
-    assert _EXT is not None, "worker used before init_worker ran"
-    ext = _EXT
-    phi = _ARRAYS["phi"]
-    traffic = _ARRAYS["traffic"]
-    usage = _ARRAYS["usage"]
-    start = time.perf_counter()
-    if _ARRAY_CORE:
-        state = ModelState.of(ext)
-        traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
-        state.solve_traffic_block(traffic.reshape(-1), phi.reshape(-1), lo, hi)
-        # per-shard (E,) usage partial in shm row `shard`; the master sums
-        # partials in shard order, which reproduces the serial CSR row-sum
-        # association exactly
-        usage[shard] = state.usage_partial_block(
-            phi.reshape(-1), traffic.reshape(-1), lo, hi
-        )
-        return {"flow_solve": time.perf_counter() - start}
-    for j in range(lo, hi):
-        row = solve_traffic_commodity(ext, j, phi[j])
-        traffic[j] = row
-        # same elementwise association as the serial (t * phi) * cost
-        usage[j] = row[ext.edge_tail] * phi[j] * ext.cost[j]
-    return {"flow_solve": time.perf_counter() - start}
-
-
-def _step_shard_array(
-    lo: int, hi: int, eta: float, use_blocking: bool, traffic_tol: float
+def gamma_rows(
+    state: ModelState,
+    phi_flat: np.ndarray,
+    t_flat: np.ndarray,
+    dadf: np.ndarray,
+    dadr: np.ndarray,
+    delta: np.ndarray,
+    blocked: np.ndarray,
+    eta: float,
+    use_blocking: bool,
+    traffic_tol: float,
+    lo: int,
+    hi: int,
 ) -> Dict[str, float]:
-    """Array-core step body: row-block CSR kernels over the shared state.
+    """One application of ``Gamma`` to commodities ``[lo, hi)``, in place.
 
-    ``dadr``/``delta``/``blocked`` live in private per-worker scratch (only
-    this shard's rows are ever written or read), while ``phi``/``phi_next``/
-    ``traffic`` stay in shared memory exactly as in the object path.
+    The serial step's three phases restricted to a row-block: the
+    marginal-cost wave (which stores the block's cells of the cell-space
+    ``delta``), the blocked sets and ``Gamma`` over the block's plan.
+    ``dadr`` (``(J, V)``), ``delta`` and ``blocked`` (``(P,)``) are
+    scratch of which only the block's rows and cells are touched, so
+    shards may share them.  Returns per-phase wall-clock seconds.
     """
-    ext = _EXT
-    state = ModelState.of(ext)
-    phi = _ARRAYS["phi"]
-    phi_next = _ARRAYS["phi_next"]
-    phi_flat = phi.reshape(-1)
-    t_flat = _ARRAYS["traffic"].reshape(-1)
-    dadf = _ARRAYS["dadf"]
-    shape_jv = (ext.num_commodities, ext.num_nodes)
-    shape_je = (ext.num_commodities, ext.num_edges)
-    dadr = _scratch("dadr", shape_jv)
-    delta = _scratch("delta", shape_je)
-    timings = {"marginals": 0.0, "blocking": 0.0, "gamma": 0.0}
-    start = time.perf_counter()
+    clock = time.perf_counter
+    start = clock()
     dadr[lo:hi] = 0.0
-    state.marginal_costs_block(dadr.reshape(-1), phi_flat, dadf, lo, hi)
-    delta[lo:hi] = 0.0
-    state.edge_marginals_block(delta.reshape(-1), dadf, dadr.reshape(-1), lo, hi)
-    timings["marginals"] = time.perf_counter() - start
-    blocked_flat: Optional[np.ndarray] = None
-    if use_blocking:
-        start = time.perf_counter()
-        blocked = _scratch("blocked", shape_je, dtype=bool)
-        blocked[lo:hi] = False
-        if state.blocked_sets_block(
-            blocked.reshape(-1),
-            phi_flat,
-            t_flat,
-            dadr.reshape(-1),
-            delta.reshape(-1),
-            eta,
-            lo,
-            hi,
-        ):
-            blocked_flat = blocked.reshape(-1)
-        timings["blocking"] = time.perf_counter() - start
-    start = time.perf_counter()
-    phi_next[lo:hi] = phi[lo:hi]
+    dadr_flat = dadr.reshape(-1)
+    state.marginal_costs_block(dadr_flat, phi_flat, dadf, lo, hi, delta)
+    marginals_done = clock()
+    blocked_cells: Optional[np.ndarray] = None
+    if use_blocking and state.blocked_sets_block(
+        blocked, phi_flat, t_flat, dadr_flat, delta, eta, lo, hi
+    ):
+        blocked_cells = blocked
+    blocking_done = clock()
     plan = state.block(lo, hi).gamma_plan
     if plan is not None:
         apply_gamma_batch(
-            phi_next.reshape(-1),
-            plan,
-            t_flat,
-            delta.reshape(-1),
-            blocked_flat,
-            eta,
-            traffic_tol,
+            phi_flat, plan, t_flat, delta, blocked_cells, eta, traffic_tol
         )
-    timings["gamma"] = time.perf_counter() - start
-    return timings
+    return {
+        "marginals": marginals_done - start,
+        "blocking": blocking_done - marginals_done if use_blocking else 0.0,
+        "gamma": clock() - blocking_done,
+    }
+
+
+def _rows_scratch(state: ModelState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        _scratch("dadr", (state.num_commodities, state.num_nodes)),
+        _scratch("delta", (state.num_cells,)),
+        _scratch("blocked", (state.num_cells,), dtype=bool),
+    )
+
+
+def _forecast_shard(lo: int, hi: int, shard: int) -> Dict[str, float]:
+    assert _EXT is not None, "worker used before init_worker ran"
+    ext = _EXT
+    phi_flat = _ARRAYS["phi"].reshape(-1)
+    traffic = _ARRAYS["traffic"]
+    start = time.perf_counter()
+    state = ModelState.of(ext)
+    traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
+    state.solve_traffic_block(traffic.reshape(-1), phi_flat, lo, hi)
+    # per-shard (E,) usage partial in shm row `shard`; the master sums
+    # partials in shard order, which reproduces the serial CSR row-sum
+    # association exactly
+    _ARRAYS["usage"][shard] = state.usage_partial_block(
+        phi_flat, traffic.reshape(-1), lo, hi
+    )
+    return {"flow_solve": time.perf_counter() - start}
 
 
 def _step_shard(
     lo: int, hi: int, eta: float, use_blocking: bool, traffic_tol: float
 ) -> Dict[str, float]:
+    """``Gamma`` over the shard: ``phi`` rows copied into ``phi_next`` and
+    updated there (the serial engine's updated copy); ``dadr``/``delta``/
+    ``blocked`` live in private per-worker scratch."""
     assert _EXT is not None, "worker used before init_worker ran"
-    if _ARRAY_CORE:
-        return _step_shard_array(lo, hi, eta, use_blocking, traffic_tol)
-    ext = _EXT
-    phi = _ARRAYS["phi"]
+    state = ModelState.of(_EXT)
     phi_next = _ARRAYS["phi_next"]
-    traffic = _ARRAYS["traffic"]
-    dadf = _ARRAYS["dadf"]
-    routing = RoutingState(phi)  # zero-copy read-only view
-    timings = {"marginals": 0.0, "blocking": 0.0, "gamma": 0.0}
-    for j in range(lo, hi):
-        start = time.perf_counter()
-        dadr = marginal_cost_to_destination(ext, j, routing, dadf)
-        delta = edge_marginals(ext, j, dadf, dadr)
-        timings["marginals"] += time.perf_counter() - start
-
-        blocked: Optional[np.ndarray] = None
-        if use_blocking:
-            start = time.perf_counter()
-            blocked = compute_blocked_sets(
-                ext, j, routing, traffic, dadr, delta, eta
-            )
-            if not blocked.any():
-                # an all-False mask is indistinguishable from no blocking;
-                # take the kernel's cheaper unblocked path (same bits)
-                blocked = None
-            timings["blocking"] += time.perf_counter() - start
-
-        start = time.perf_counter()
-        row = phi[j].copy()
-        apply_gamma_batch(
-            row, ext.gamma_plans[j], traffic[j], delta, blocked, eta, traffic_tol
-        )
-        phi_next[j] = row
-        timings["gamma"] += time.perf_counter() - start
-    return timings
-
-
-def _batch_shard_array(
-    lo: int,
-    hi: int,
-    shard: int,
-    iterations: int,
-    eta: float,
-    use_blocking: bool,
-    traffic_tol: float,
-) -> Dict[str, float]:
-    """Array-core batch body: private row-block iterations, frozen ``dadf``.
-
-    Mirrors the object-core batch exactly: ``Gamma`` applies in place on the
-    shard's shm ``phi`` rows (the kernel reads and writes the same buffer,
-    just like the serial engine's updated-copy), the shard's traffic rows
-    are re-solved after every application, and the usage partial is
-    published once over the batch-final rows.
-    """
-    ext = _EXT
-    state = ModelState.of(ext)
-    phi = _ARRAYS["phi"]
-    phi_flat = phi.reshape(-1)
-    traffic = _ARRAYS["traffic"]
-    t_flat = traffic.reshape(-1)
-    dadf = _ARRAYS["dadf"]
-    shape_jv = (ext.num_commodities, ext.num_nodes)
-    shape_je = (ext.num_commodities, ext.num_edges)
-    dadr = _scratch("dadr", shape_jv)
-    delta = _scratch("delta", shape_je)
-    plan = state.block(lo, hi).gamma_plan
-    start = time.perf_counter()
-    for _ in range(iterations):
-        dadr[lo:hi] = 0.0
-        state.marginal_costs_block(dadr.reshape(-1), phi_flat, dadf, lo, hi)
-        delta[lo:hi] = 0.0
-        state.edge_marginals_block(delta.reshape(-1), dadf, dadr.reshape(-1), lo, hi)
-        blocked_flat: Optional[np.ndarray] = None
-        if use_blocking:
-            blocked = _scratch("blocked", shape_je, dtype=bool)
-            blocked[lo:hi] = False
-            if state.blocked_sets_block(
-                blocked.reshape(-1),
-                phi_flat,
-                t_flat,
-                dadr.reshape(-1),
-                delta.reshape(-1),
-                eta,
-                lo,
-                hi,
-            ):
-                blocked_flat = blocked.reshape(-1)
-        if plan is not None:
-            apply_gamma_batch(
-                phi_flat, plan, t_flat, delta.reshape(-1), blocked_flat, eta,
-                traffic_tol,
-            )
-        traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
-        state.solve_traffic_block(t_flat, phi_flat, lo, hi)
-    _ARRAYS["usage"][shard] = state.usage_partial_block(phi_flat, t_flat, lo, hi)
-    _ARRAYS["phi_next"][lo:hi] = phi[lo:hi]
-    return {"batch": time.perf_counter() - start}
+    phi_next[lo:hi] = _ARRAYS["phi"][lo:hi]
+    return gamma_rows(
+        state,
+        phi_next.reshape(-1),
+        _ARRAYS["traffic"].reshape(-1),
+        _ARRAYS["dadf"],
+        *_rows_scratch(state),
+        eta,
+        use_blocking,
+        traffic_tol,
+        lo,
+        hi,
+    )
 
 
 def _batch_shard(
     lo: int,
     hi: int,
+    shard: int,
     iterations: int,
     eta: float,
     use_blocking: bool,
@@ -354,41 +248,32 @@ def _batch_shard(
 
     The bounded-staleness batch body: ``dadf`` stays frozen at its
     batch-start value for every inner iteration (that is the whole point --
-    one round-trip buys ``iterations`` steps), while each commodity's own
-    traffic row is re-solved after every ``Gamma`` application, so local
-    state is always fresh.  Every read and write stays inside this shard's
-    rows -- siblings running concurrently never observe (or miss) a byte of
-    ours -- and the master only reads after all shards have returned.
+    one round-trip buys ``iterations`` steps), while ``Gamma`` applies in
+    place on the shard's shm ``phi`` rows and their traffic is re-solved
+    after every application, so local state is always fresh.  Every read
+    and write stays inside this shard's rows -- siblings running
+    concurrently never observe (or miss) a byte of ours -- and the master
+    only reads after all shards have returned.  The usage partial is
+    published once, over the batch-final rows.
     """
     assert _EXT is not None, "worker used before init_worker ran"
     ext = _EXT
+    state = ModelState.of(ext)
     phi = _ARRAYS["phi"]
-    phi_next = _ARRAYS["phi_next"]
+    phi_flat = phi.reshape(-1)
     traffic = _ARRAYS["traffic"]
-    usage = _ARRAYS["usage"]
-    dadf = _ARRAYS["dadf"]
-    routing = RoutingState(phi)  # zero-copy view; we update our own rows
+    t_flat = traffic.reshape(-1)
+    scratch = _rows_scratch(state)
     start = time.perf_counter()
     for _ in range(iterations):
-        for j in range(lo, hi):
-            dadr = marginal_cost_to_destination(ext, j, routing, dadf)
-            delta = edge_marginals(ext, j, dadf, dadr)
-            blocked: Optional[np.ndarray] = None
-            if use_blocking:
-                blocked = compute_blocked_sets(
-                    ext, j, routing, traffic, dadr, delta, eta
-                )
-                if not blocked.any():
-                    blocked = None
-            row = phi[j].copy()
-            apply_gamma_batch(
-                row, ext.gamma_plans[j], traffic[j], delta, blocked, eta, traffic_tol
-            )
-            phi[j] = row
-            fresh = solve_traffic_commodity(ext, j, row)
-            traffic[j] = fresh
-            usage[j] = fresh[ext.edge_tail] * row * ext.cost[j]
-    phi_next[lo:hi] = phi[lo:hi]
+        gamma_rows(
+            state, phi_flat, t_flat, _ARRAYS["dadf"], *scratch, eta,
+            use_blocking, traffic_tol, lo, hi,
+        )
+        traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
+        state.solve_traffic_block(t_flat, phi_flat, lo, hi)
+    _ARRAYS["usage"][shard] = state.usage_partial_block(phi_flat, t_flat, lo, hi)
+    _ARRAYS["phi_next"][lo:hi] = phi[lo:hi]
     return {"batch": time.perf_counter() - start}
 
 
@@ -410,11 +295,9 @@ def run_shard(phase: str, lo: int, hi: int, *args: Any) -> Tuple[int, Dict[str, 
         return lo, _step_shard(lo, hi, eta, use_blocking, traffic_tol)
     if phase == "batch":
         shard, iterations, eta, use_blocking, traffic_tol = args
-        if _ARRAY_CORE:
-            return lo, _batch_shard_array(
-                lo, hi, shard, iterations, eta, use_blocking, traffic_tol
-            )
-        return lo, _batch_shard(lo, hi, iterations, eta, use_blocking, traffic_tol)
+        return lo, _batch_shard(
+            lo, hi, shard, iterations, eta, use_blocking, traffic_tol
+        )
     if phase == "refresh":
         start = time.perf_counter()
         _refresh_worker(args[0])

@@ -13,7 +13,8 @@ execution backend (:mod:`repro.parallel`), and the invariant checker
    refreshed in place, so the worker pool survives,
 2. the gradient engine *refines* the carried state for a bounded number of
    iterations (the background re-optimisation -- warm starts mean a few
-   iterations recover most of the utility, see docs/online.md),
+   iterations recover most of the utility, see docs/online.md); a refine
+   that carries a node past its capacity is followed by another shed,
 3. the result is audited by :class:`~repro.validate.InvariantChecker` and,
    only if the audit passes, **published** as an immutable
    :class:`EpochSnapshot` via a single attribute store -- atomic under the
@@ -36,6 +37,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.commodity import StreamNetwork
 from repro.core.delta import apply_delta, carry_routing, compile_event
@@ -290,12 +293,19 @@ class ServeSession:
         self.inst.gauge("serve.epoch", float(self.ext.epoch))
 
     def _refine(self, iterations: int) -> None:
-        routing, _context = self.backend.advance(
+        routing, context = self.backend.advance(
             self.routing, None, iterations, eta=self.config.eta
         )
         self.routing = routing
         self._refined_total += iterations
         self.inst.count("serve.refine_iterations", iterations)
+        # the gradient steps only price capacity through the barrier, so a
+        # few of them can carry a node past its hard capacity; shed again
+        # before anything is published (the context already holds the
+        # refined usage, so checking costs no flow solve)
+        if np.any(context.node_usage > self.ext.capacity):
+            self.inst.count("serve.reshed")
+            self._shed()
 
     def _enforce_min_admit(
         self, outcomes: List[EventOutcome]

@@ -25,15 +25,12 @@ gap is the eps-barrier headroom, not solver error).
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.gradient import GradientConfig
-from repro.core.state import MODEL_CORE_ENV, MODEL_CORE_NAMES
 from repro.validate.checks import solution_flows
 
 __all__ = [
@@ -57,27 +54,6 @@ __all__ = [
 # ``DifferentialOracle(utility_rtol=STALENESS_DRIFT_RTOL).compare(...)``;
 # ``compare_backends`` stays reserved for the bit-identity contract.
 STALENESS_DRIFT_RTOL = 0.02
-
-
-@contextmanager
-def _model_core_pinned(core: Optional[str]):
-    """Temporarily pin ``REPRO_MODEL_CORE`` for one side of a comparison."""
-    if core is None:
-        yield
-        return
-    if core not in MODEL_CORE_NAMES:
-        raise ValueError(
-            f"unknown model core {core!r}; expected one of {MODEL_CORE_NAMES}"
-        )
-    previous = os.environ.get(MODEL_CORE_ENV)
-    os.environ[MODEL_CORE_ENV] = core
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(MODEL_CORE_ENV, None)
-        else:
-            os.environ[MODEL_CORE_ENV] = previous
 
 
 def calibrated_gradient_config(max_iterations: int = 6000) -> GradientConfig:
@@ -108,9 +84,6 @@ class AlgorithmSpec:
     # execution model for method="distributed": None/"sync" phase barriers,
     # "async" the barrier-free event-driven engine
     execution: Optional[str] = None
-    # pin the model core for this side ("array" / "object"); None inherits
-    # the ambient REPRO_MODEL_CORE setting
-    model_core: Optional[str] = None
 
     @property
     def name(self) -> str:
@@ -125,8 +98,6 @@ class AlgorithmSpec:
             parts.append(f"staleness={self.staleness}")
         if self.execution is not None:
             parts.append(f"execution={self.execution}")
-        if self.model_core is not None:
-            parts.append(f"core={self.model_core}")
         return self.method + (f"[{', '.join(parts)}]" if parts else "")
 
 
@@ -303,20 +274,19 @@ class DifferentialOracle:
 
         results = []
         for spec in (spec_a, spec_b):
-            with _model_core_pinned(spec.model_core):
-                results.append(
-                    solve(
-                        stream_network,
-                        method=spec.method,
-                        config=spec.config,
-                        workers=spec.workers,
-                        backend=spec.backend,
-                        staleness=spec.staleness,
-                        execution=spec.execution,
-                        full_result=True,
-                        validate=validate,
-                    )
+            results.append(
+                solve(
+                    stream_network,
+                    method=spec.method,
+                    config=spec.config,
+                    workers=spec.workers,
+                    backend=spec.backend,
+                    staleness=spec.staleness,
+                    execution=spec.execution,
+                    full_result=True,
+                    validate=validate,
                 )
+            )
         result_a, result_b = results
         sol_a, sol_b = result_a.solution, result_b.solution
         ext = sol_a.ext
@@ -403,40 +373,6 @@ class DifferentialOracle:
             stream_network,
             spec_a,
             spec_b,
-            validate=validate,
-            require_bit_identical=True,
-        )
-
-    def compare_cores(
-        self,
-        stream_network,
-        method: str = "gradient",
-        config: Any = None,
-        validate: Any = False,
-        workers: Any = None,
-        backend: Any = None,
-    ) -> OracleReport:
-        """Array core vs legacy object core on one workload: must be bit-equal.
-
-        The sparse commodity-major core (:mod:`repro.core.state`) carries
-        the same bit-identity contract as the parallel backends: every
-        iterate, admitted rate, and recorded utility must match the object
-        core's exactly.  This is the oracle form of that contract -- the
-        scale ladder runs it on the 40- and 120-node reference workloads
-        and the hypothesis sweep runs it across random sparse instances.
-        """
-        spec_array = AlgorithmSpec(
-            method=method, config=config, workers=workers, backend=backend,
-            model_core="array",
-        )
-        spec_object = AlgorithmSpec(
-            method=method, config=config, workers=workers, backend=backend,
-            model_core="object",
-        )
-        return self.compare(
-            stream_network,
-            spec_array,
-            spec_object,
             validate=validate,
             require_bit_identical=True,
         )
@@ -578,9 +514,7 @@ class DifferentialOracle:
 
         ext_inc = build_extended_network(stream_network)
         # force every lazy plan so the splice path has something to carry
-        _ = ext_inc.flow_plans, ext_inc.gamma_plans, ext_inc.merged_edge_list
-        _ = ext_inc.merged_forward_plan, ext_inc.merged_reverse_plan
-        _ = ext_inc.merged_gamma_plan
+        _ = ext_inc.flow_plans, ext_inc.gamma_plans
         net_ref = stream_network
         ext_ref = build_extended_network(stream_network)
         routing_inc = initial_routing(ext_inc)
@@ -657,8 +591,3 @@ class DifferentialOracle:
                 )
             )
         return report
-
-
-def compare_cores(stream_network, **kwargs) -> OracleReport:
-    """Module-level shorthand for :meth:`DifferentialOracle.compare_cores`."""
-    return DifferentialOracle().compare_cores(stream_network, **kwargs)

@@ -325,7 +325,7 @@ class TestSharing:
 
     def test_splice_carries_clean_plans_by_reference(self):
         # the structural fast path must *remap* clean commodities' plans,
-        # not rebuild them: the index-free plan arrays (gains, valid) are
+        # not rebuild them: the index-free plan arrays (gains, indptr) are
         # shared with the old epoch's plans.  Pins the fast path actually
         # firing -- a silently broken index map degrades every splice to
         # full re-derivation (correct but O(problem), see _splice_maps).
@@ -344,8 +344,8 @@ class TestSharing:
             assert applied.ext._flow_plans[view.index].gains is (
                 ext._flow_plans[jo].gains
             )
-            assert applied.ext._gamma_plans[view.index].valid is (
-                ext._gamma_plans[jo].valid
+            assert applied.ext._gamma_plans[view.index].indptr is (
+                ext._gamma_plans[jo].indptr
             )
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import build_extended_network
 from repro.core.gradient import (
@@ -13,6 +15,7 @@ from repro.core.gradient import (
     apply_gamma_batch,
 )
 from repro.core.optimal import arc_flows_to_routing, solve_lp
+from repro.core.transform import CommodityGammaPlan
 from repro.core.routing import (
     initial_routing,
     feasibility_report,
@@ -269,7 +272,7 @@ class TestVectorizedStep:
         for _ in range(120):
             fast = algo.step(fast)
             slow = algo.step_reference(slow)
-            assert np.array_equal(fast.phi, slow.phi)
+            assert fast.phi.tobytes() == slow.phi.tobytes()
 
     @pytest.mark.parametrize("net_seed", [2, 7, 11])
     def test_step_matches_reference_on_random_dags(self, net_seed):
@@ -286,7 +289,7 @@ class TestVectorizedStep:
         for _ in range(80):
             fast = algo.step(fast)
             slow = algo.step_reference(slow)
-            assert np.array_equal(fast.phi, slow.phi)
+            assert fast.phi.tobytes() == slow.phi.tobytes()
 
     def test_batch_kernel_matches_scalar_kernel(self, figure4_ext):
         """Drive the two kernels directly on identical random inputs."""
@@ -319,7 +322,96 @@ class TestVectorizedStep:
                     0.08,
                     1e-12,
                 )
-            assert np.array_equal(phi_batch, phi_scalar)
+            assert phi_batch.tobytes() == phi_scalar.tobytes()
+
+
+@st.composite
+def gamma_cases(draw):
+    """A synthetic Gamma plan plus kernel inputs that stress its edge cases.
+
+    Rows are nodes with 2..20 out-edges (widths of 15 and up are the
+    fan-out rows of the 1000-node ladder rung); deltas come from a small
+    pool, so ties are common, and may be ``+inf``; blocked masks may cover
+    a whole row; traffic may be zero (idle rows) or tiny.
+    """
+    widths = draw(st.lists(st.integers(2, 20), min_size=1, max_size=12))
+    total = sum(widths)
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.floats(-2.0, 5.0, allow_nan=False, allow_infinity=False),
+                st.just(np.inf),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    delta = np.array(
+        draw(st.lists(st.sampled_from(pool), min_size=total, max_size=total))
+    )
+    phi = np.empty(total)
+    blocked = np.zeros(total, dtype=bool)
+    start = 0
+    for width in widths:
+        weights = np.array(
+            draw(
+                st.lists(
+                    st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                    min_size=width,
+                    max_size=width,
+                )
+            )
+        )
+        if weights.sum() == 0.0:
+            weights[draw(st.integers(0, width - 1))] = 1.0
+        phi[start : start + width] = weights / weights.sum()
+        mode = draw(st.sampled_from(["none", "zeros", "all"]))
+        if mode == "zeros":
+            # eq. (18) only ever blocks zero-phi edges
+            blocked[start : start + width] = phi[start : start + width] == 0.0
+        elif mode == "all":
+            blocked[start : start + width] = True
+        start += width
+    traffic = np.array(
+        draw(
+            st.lists(
+                st.sampled_from([0.0, 1e-13, 0.5, 3.0, 40.0]),
+                min_size=len(widths),
+                max_size=len(widths),
+            )
+        )
+    )
+    eta = draw(st.sampled_from([0.01, 0.08, 1.0]))
+    use_blocking = draw(st.booleans())
+    return widths, phi, delta, blocked if use_blocking else None, traffic, eta
+
+
+class TestGammaKernelProperties:
+    """The unpadded batch kernel vs the per-node kernel, byte for byte."""
+
+    @given(gamma_cases())
+    @settings(deadline=None)
+    def test_batch_matches_per_node_kernel(self, case):
+        widths, phi, delta, blocked, traffic, eta = case
+        indptr = np.concatenate(([0], np.cumsum(widths))).astype(np.intp)
+        plan = CommodityGammaPlan(
+            nodes=np.arange(len(widths), dtype=np.intp),
+            targets=np.arange(indptr[-1], dtype=np.intp),
+            indptr=indptr,
+        )
+        phi_batch = phi.copy()
+        phi_scalar = phi.copy()
+        # an all-inf row forms inf - inf in both kernels
+        with np.errstate(invalid="ignore"):
+            apply_gamma_batch(
+                phi_batch, plan, traffic, delta, blocked, eta, 1e-12
+            )
+            for node in range(len(widths)):
+                out = list(range(indptr[node], indptr[node + 1]))
+                apply_gamma_at_node(
+                    phi_scalar, traffic[node], out, delta, blocked, eta, 1e-12
+                )
+        assert phi_batch.tobytes() == phi_scalar.tobytes()
 
 
 class TestIterationCache:

@@ -73,7 +73,7 @@ class TestBitIdentity:
             parallel = _trajectory(ext, config, backend=backend)
         assert len(serial) == len(parallel)
         for iteration, (a, b) in enumerate(zip(serial, parallel)):
-            assert np.array_equal(a, b), f"phi diverged at iteration {iteration}"
+            assert a.tobytes() == b.tobytes(), f"phi diverged at iteration {iteration}"
 
     def test_run_loop_bit_identical(self):
         ext = _random_ext(seed=5)

@@ -497,3 +497,41 @@ class TestSessionPolicies:
             __, snap = session.process_batch(events[start:start + 4])
             assert snap.validation is not None and snap.validation.passed
         session.close()
+
+
+class TestRefineCapacity:
+    """The refine step must never publish a node past its capacity."""
+
+    def test_session_stream_publishes_every_batch(self):
+        # the repo benchmark's serve-sessions stream: its inputs module is
+        # imported read-only for the network and the request stream
+        import sys
+        from pathlib import Path
+
+        from repro.obs import Instrumentation
+
+        perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        sys.path.insert(0, perfbench)
+        try:
+            import inputs
+        finally:
+            sys.path.remove(perfbench)
+
+        network = inputs.serve_network()
+        stream = inputs.churn_stream(
+            network, inputs.SESSION_WEIGHTS, 400, 36
+        )
+        inst = Instrumentation()
+        session = ServeSession(network, instrumentation=inst)
+        session.warmup()
+        sizes = np.random.default_rng(0)
+        start = 0
+        while start < len(stream.events):
+            size = int(sizes.integers(1, 5))
+            # the refine used to carry a node to 1.098x its capacity here,
+            # failing the audit of the batch holding event 392
+            __, snap = session.process_batch(stream.events[start:start + size])
+            assert snap.validation is not None and snap.validation.passed
+            start += size
+        assert inst.registry.counter("serve.reshed").value == 1
+        session.close()

@@ -73,7 +73,7 @@ class TestThreadBitIdentity:
             threaded = _trajectory(ext, config, backend=backend)
         assert len(serial) == len(threaded)
         for iteration, (a, b) in enumerate(zip(serial, threaded)):
-            assert np.array_equal(a, b), f"phi diverged at iteration {iteration}"
+            assert a.tobytes() == b.tobytes(), f"phi diverged at iteration {iteration}"
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_oracle_compare_backends(self, workers):
