@@ -32,111 +32,91 @@ Algorithm objects (full control + convergence history)::
 See README.md for a quickstart and DESIGN.md for the paper-to-module map.
 """
 
+from __future__ import annotations
+
+import importlib
 import warnings
 from dataclasses import replace
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Union
 
-from repro.core import (
-    AdmissionController,
-    AlphaFairUtility,
-    BackpressureAlgorithm,
-    BackpressureConfig,
-    BackpressureResult,
-    CappedLinearUtility,
-    Commodity,
-    CostModel,
-    ExtendedNetwork,
-    GradientAlgorithm,
-    GradientConfig,
-    GradientResult,
-    InverseBarrier,
-    IterationContext,
-    LinearUtility,
-    Link,
-    LogBarrier,
-    LogUtility,
-    Node,
-    NodeKind,
-    OptimalResult,
-    PhysicalNetwork,
-    RoutingState,
-    RunResult,
-    RunResultMixin,
-    Solution,
-    SqrtUtility,
-    StreamNetwork,
-    Task,
-    build_extended_network,
-    solve_concave,
-    solve_lp,
-    solve_optimal,
-)
-from repro.obs import NULL_INSTRUMENTATION, Instrumentation
-from repro.options import SolveOptions
-from repro.exceptions import (
-    ConvergenceError,
-    InfeasibleError,
-    ModelError,
-    ParallelExecutionError,
-    RoutingError,
-    SimulationError,
-    SolverError,
-    StreamFlowError,
-    TransformError,
-    ValidationError,
-)
+if TYPE_CHECKING:
+    from repro.core.backpressure import BackpressureConfig
+    from repro.core.commodity import StreamNetwork
+    from repro.core.gradient import GradientConfig
+    from repro.obs import Instrumentation
+    from repro.options import SolveOptions
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "solve",
-    "SolveOptions",
-    "Instrumentation",
-    "RunResult",
-    "RunResultMixin",
-    "OptimalResult",
-    "AdmissionController",
-    "AlphaFairUtility",
-    "BackpressureAlgorithm",
-    "BackpressureConfig",
-    "BackpressureResult",
-    "CappedLinearUtility",
-    "Commodity",
-    "CostModel",
-    "ExtendedNetwork",
-    "GradientAlgorithm",
-    "GradientConfig",
-    "GradientResult",
-    "InverseBarrier",
-    "IterationContext",
-    "LinearUtility",
-    "Link",
-    "LogBarrier",
-    "LogUtility",
-    "Node",
-    "NodeKind",
-    "PhysicalNetwork",
-    "RoutingState",
-    "Solution",
-    "SqrtUtility",
-    "StreamNetwork",
-    "Task",
-    "build_extended_network",
-    "solve_concave",
-    "solve_lp",
-    "solve_optimal",
-    "StreamFlowError",
-    "ModelError",
-    "ValidationError",
-    "TransformError",
-    "RoutingError",
-    "InfeasibleError",
-    "ConvergenceError",
-    "ParallelExecutionError",
-    "SolverError",
-    "SimulationError",
-    "__version__",
-]
+# public name -> the module defining it, imported on first access (PEP 562):
+# ``import repro.core.gradient`` loads only what the solver needs, and
+# ``from repro import X`` imports just the module that defines ``X``
+_EXPORTS = {
+    "SolveOptions": "repro.options",
+    "Instrumentation": "repro.obs",
+    "RunResult": "repro.core.result",
+    "RunResultMixin": "repro.core.result",
+    "OptimalResult": "repro.core.result",
+    "AdmissionController": "repro.core.admission",
+    "AlphaFairUtility": "repro.core.utility",
+    "BackpressureAlgorithm": "repro.core.backpressure",
+    "BackpressureConfig": "repro.core.backpressure",
+    "BackpressureResult": "repro.core.backpressure",
+    "CappedLinearUtility": "repro.core.utility",
+    "Commodity": "repro.core.commodity",
+    "CostModel": "repro.core.marginals",
+    "ExtendedNetwork": "repro.core.transform",
+    "GradientAlgorithm": "repro.core.gradient",
+    "GradientConfig": "repro.core.gradient",
+    "GradientResult": "repro.core.gradient",
+    "InverseBarrier": "repro.core.penalty",
+    "IterationContext": "repro.core.context",
+    "LinearUtility": "repro.core.utility",
+    "Link": "repro.core.network",
+    "LogBarrier": "repro.core.penalty",
+    "LogUtility": "repro.core.utility",
+    "Node": "repro.core.network",
+    "NodeKind": "repro.core.network",
+    "PhysicalNetwork": "repro.core.network",
+    "RoutingState": "repro.core.routing",
+    "Solution": "repro.core.solution",
+    "SqrtUtility": "repro.core.utility",
+    "StreamNetwork": "repro.core.commodity",
+    "Task": "repro.core.commodity",
+    "build_extended_network": "repro.core.transform",
+    "solve_concave": "repro.core.optimal",
+    "solve_lp": "repro.core.optimal",
+    "solve_optimal": "repro.core.optimal",
+    **{
+        name: "repro.exceptions"
+        for name in (
+            "StreamFlowError",
+            "ModelError",
+            "ValidationError",
+            "TransformError",
+            "RoutingError",
+            "InfeasibleError",
+            "ConvergenceError",
+            "ParallelExecutionError",
+            "SolverError",
+            "SimulationError",
+        )
+    },
+}
+
+__all__ = ["solve", *_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
 
 
 SOLVE_METHODS = ("gradient", "optimal", "backpressure", "distributed")
@@ -163,6 +143,10 @@ _LEGACY_BACKPRESSURE_KEYS = (
 
 def _coerce_config(method: str, config, legacy: dict):
     """Resolve the uniform ``config=`` argument (plus deprecated kwargs)."""
+    from repro.core.backpressure import BackpressureConfig
+    from repro.core.gradient import GradientConfig
+    from repro.core.marginals import CostModel
+
     cls = BackpressureConfig if method == "backpressure" else GradientConfig
     allowed = (
         _LEGACY_BACKPRESSURE_KEYS
@@ -302,6 +286,8 @@ def solve(
     Solution or RunResult
         The final solution, or the full result when ``full_result=True``.
     """
+    from repro.options import SolveOptions
+
     explicit = {
         name: value
         for name, value in (
@@ -347,6 +333,9 @@ def _solve_impl(
         raise ValueError(
             f"unknown method {method!r}; expected one of {SOLVE_METHODS}"
         )
+    from repro.core.transform import build_extended_network
+    from repro.obs import NULL_INSTRUMENTATION
+
     inst = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
     ext = build_extended_network(stream_network)
 
@@ -376,6 +365,9 @@ def _solve_impl(
         )
 
     if method == "optimal":
+        from repro.core.optimal import solve_optimal
+        from repro.core.result import OptimalResult
+
         if config is not None or legacy:
             raise TypeError("method 'optimal' takes no config")
         with inst.phase("optimal_solve"):
@@ -384,6 +376,8 @@ def _solve_impl(
             inst.gauge("final_utility", solution.utility)
         result = OptimalResult(solution=solution)
     elif method == "backpressure":
+        from repro.core.backpressure import BackpressureAlgorithm
+
         cfg = _coerce_config(method, config, legacy)
         result = BackpressureAlgorithm(ext, cfg).run(
             instrumentation=instrumentation
@@ -392,6 +386,7 @@ def _solve_impl(
         cfg = _coerce_config(method, config, legacy)
         from contextlib import nullcontext
 
+        from repro.core.gradient import GradientAlgorithm
         from repro.parallel import resolve_backend
 
         # under execution="async", staleness parameterizes the freshness

@@ -50,25 +50,8 @@ import sys
 import warnings
 from typing import List, Optional
 
-from repro import (
-    BackpressureConfig,
-    GradientConfig,
-    Instrumentation,
-    SolveOptions,
-    build_extended_network,
-    solve,
-)
-from repro.analysis import AlgorithmTrajectory, figure4_table, timing_table
-from repro.core.marginals import CostModel
-from repro.io import (
-    load_network,
-    result_to_dict,
-    save_network,
-    save_solution,
-    utility_to_spec,
-)
-from repro.scenarios import paper_figure4_network, random_stream_network
-from repro.scenarios import RandomNetworkSpec
+# Each command imports what it runs inside its handler: ``--help`` and
+# ``serve`` never load the LP solver, the analysis tables or networkx.
 
 __all__ = ["main"]
 
@@ -76,6 +59,9 @@ INFO_SCHEMA = "repro.info/1"
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.io import save_network
+    from repro.scenarios import RandomNetworkSpec, random_stream_network
+
     spec = RandomNetworkSpec(
         num_nodes=args.nodes, num_commodities=args.commodities
     )
@@ -86,6 +72,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from repro.core.transform import build_extended_network
+    from repro.io import load_network, utility_to_spec
+
     network = load_network(args.model)
     ext = build_extended_network(network)
     if args.json:
@@ -120,10 +109,15 @@ def _make_config(args: argparse.Namespace):
     if args.method == "optimal":
         return None
     if args.method == "backpressure":
+        from repro.core.backpressure import BackpressureConfig
+
         kwargs = {"max_iterations": args.max_iterations}
         if args.record_every is not None:
             kwargs["record_every"] = args.record_every
         return BackpressureConfig(**kwargs)
+    from repro.core.gradient import GradientConfig
+    from repro.core.marginals import CostModel
+
     kwargs = {
         "eta": args.step_size,
         "max_iterations": args.max_iterations,
@@ -167,10 +161,15 @@ def _input_network(args: argparse.Namespace):
         return scenario(scenario_name).compile().network
     if args.model is None:
         raise SystemExit("error: a model file or --scenario is required")
+    from repro.io import load_network
+
     return load_network(args.model)
 
 
 def _instrumented_solve(args: argparse.Namespace, instrumentation, validate=False):
+    from repro import solve
+    from repro.options import SolveOptions
+
     network = _input_network(args)
     options = SolveOptions(
         method=args.method,
@@ -200,6 +199,9 @@ def _export_instrumentation(args: argparse.Namespace, inst, quiet: bool) -> None
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from repro.io import result_to_dict, save_solution
+    from repro.obs import Instrumentation
+
     instrument = bool(args.json or args.metrics_out or args.trace_out)
     inst = Instrumentation() if instrument else None
     result = _instrumented_solve(args, inst, validate=args.validate)
@@ -222,6 +224,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.analysis import timing_table
+    from repro.obs import Instrumentation
+
     inst = Instrumentation()
     result = _instrumented_solve(args, inst, validate=args.validate)
     solution = result.solution
@@ -302,7 +307,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure4(args: argparse.Namespace) -> int:
+    from repro import solve
+    from repro.analysis import AlgorithmTrajectory, figure4_table
+    from repro.core.backpressure import BackpressureConfig
+    from repro.core.gradient import GradientConfig
     from repro.core.optimal import solve_lp
+    from repro.core.transform import build_extended_network
+    from repro.scenarios import paper_figure4_network
 
     network = paper_figure4_network(seed=args.seed)
     ext = build_extended_network(network)
@@ -371,6 +382,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             )
         return 0
 
+    from repro.core.gradient import GradientConfig
     from repro.online import OnlineOrchestrator
 
     compiled = spec.compile()
@@ -411,6 +423,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.core.gradient import GradientConfig
+    from repro.obs import Instrumentation
+    from repro.options import SolveOptions
     from repro.serve import AdmissionServer, ServeConfig
 
     if args.model is not None and args.scenario is not None:
@@ -420,12 +435,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return 2
     if args.model is not None:
+        from repro.io import load_network
+
         network = load_network(args.model)
     elif args.scenario is not None:
         from repro.scenarios import scenario
 
         network = scenario(args.scenario).compile().network
     else:
+        from repro.scenarios import RandomNetworkSpec, random_stream_network
+
         spec = RandomNetworkSpec(
             num_nodes=args.nodes, num_commodities=args.commodities
         )

@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
+from repro.core.graph import reachable, topological_order
 from repro.core.network import PhysicalNetwork
 from repro.core.utility import LinearUtility, UtilityFunction
 from repro.exceptions import ModelError, ValidationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Edge = Tuple[str, str]
 
@@ -174,6 +176,8 @@ class Commodity:
 
     def subgraph(self) -> "nx.DiGraph":
         """The commodity DAG ``G_j`` with ``gain``/``cost`` edge attributes."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.nodes)
         for tail, head in self.edges:
@@ -184,25 +188,24 @@ class Commodity:
 
     def topological_order(self) -> List[str]:
         """Nodes of ``G_j`` in a topological order (source first)."""
+        import networkx as nx
+
         return list(nx.topological_sort(self.subgraph()))
 
     # -- validation ----------------------------------------------------------------
     def _check_dag_and_reachability(self) -> None:
-        graph = nx.DiGraph(self.edges)
-        if not nx.is_directed_acyclic_graph(graph):
+        if topological_order(self.edges) is None:
             raise ValidationError(
                 f"commodity {self.name!r}: edge set is not a DAG "
                 f"(paper assumes per-stream DAGs)"
             )
-        if not nx.has_path(graph, self.source, self.sink):
+        useful = _on_some_path(self.edges, self.source, self.sink)
+        if self.sink not in useful:
             raise ValidationError(
                 f"commodity {self.name!r}: sink unreachable from source"
             )
         # every edge should lie on some source->sink path; dangling edges can
         # never carry useful flow and usually indicate a modelling bug.
-        reach_from_src = nx.descendants(graph, self.source) | {self.source}
-        reach_to_sink = nx.ancestors(graph, self.sink) | {self.sink}
-        useful = reach_from_src & reach_to_sink
         dangling = [
             e for e in self.edges if e[0] not in useful or e[1] not in useful
         ]
@@ -251,16 +254,11 @@ class Commodity:
         """Build from an explicit edge set; optionally prune dangling edges."""
         edges = list(dict.fromkeys(edges))
         if prune:
-            graph = nx.DiGraph(edges)
-            if source not in graph or sink not in graph or not nx.has_path(
-                graph, source, sink
-            ):
+            useful = _on_some_path(edges, source, sink)
+            if sink not in useful:
                 raise ValidationError(
                     f"commodity {name!r}: sink unreachable from source"
                 )
-            useful = (nx.descendants(graph, source) | {source}) & (
-                nx.ancestors(graph, sink) | {sink}
-            )
             edges = [e for e in edges if e[0] in useful and e[1] in useful]
         return cls(
             name=name,
@@ -411,6 +409,24 @@ class StreamNetwork:
         )
 
 
+def _on_some_path(edges: Iterable[Edge], source: str, sink: str) -> Set[str]:
+    """The nodes on some ``source -> sink`` path of the digraph on ``edges``.
+
+    Empty when ``sink`` is unreachable (or either end is not in the graph).
+    """
+    succ: Dict[str, List[str]] = {}
+    pred: Dict[str, List[str]] = {}
+    for tail, head in edges:
+        succ.setdefault(tail, []).append(head)
+        pred.setdefault(head, []).append(tail)
+    if source not in succ and source not in pred:
+        return set()
+    from_source = reachable(succ, source)
+    if sink not in from_source:
+        return set()
+    return from_source & reachable(pred, sink)
+
+
 def validate_property1(
     edges: Iterable[Edge], gains: Mapping[Edge, float], rel_tol: float = 1e-9
 ) -> Dict[str, float]:
@@ -424,6 +440,8 @@ def validate_property1(
     Returns the recovered potentials (one arbitrary node per component pinned
     to 1.0).  Raises :class:`ValidationError` if Property 1 fails.
     """
+    import networkx as nx
+
     edges = list(edges)
     graph = nx.Graph()
     directed: Dict[Edge, float] = {}

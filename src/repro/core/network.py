@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-import networkx as nx
-
+from repro.core.graph import reachable
 from repro.exceptions import ModelError, ValidationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["NodeKind", "Node", "Link", "PhysicalNetwork"]
 
@@ -189,12 +191,13 @@ class PhysicalNetwork:
             raise ValidationError("network has no nodes")
         if not self._links:
             raise ValidationError("network has no links")
-        graph = self.to_networkx()
-        if not nx.is_weakly_connected(graph):
+        if not weakly_connected(self._nodes, self._links):
             raise ValidationError("network graph is not (weakly) connected")
 
     def to_networkx(self) -> "nx.DiGraph":
         """Export as a :class:`networkx.DiGraph` with capacity attributes."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         for node in self._nodes.values():
             graph.add_node(node.name, kind=node.kind.value, capacity=node.capacity)
@@ -218,9 +221,10 @@ class PhysicalNetwork:
 
 def weakly_connected(nodes: Iterable[str], edges: Iterable[Tuple[str, str]]) -> bool:
     """Convenience: is the graph on ``nodes`` with ``edges`` weakly connected?"""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(edges)
-    if graph.number_of_nodes() == 0:
+    neighbours: Dict[str, List[str]] = {node: [] for node in nodes}
+    for tail, head in edges:
+        neighbours.setdefault(tail, []).append(head)
+        neighbours.setdefault(head, []).append(tail)
+    if not neighbours:
         return False
-    return nx.is_weakly_connected(graph)
+    return len(reachable(neighbours, next(iter(neighbours)))) == len(neighbours)

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork, ExtNodeKind
@@ -39,7 +37,6 @@ __all__ = [
     "external_inputs_rows",
     "solve_traffic",
     "solve_traffic_scalar",
-    "solve_traffic_linear",
     "commodity_edge_flows",
     "resource_usage",
     "admitted_rates",
@@ -207,32 +204,6 @@ def solve_traffic_scalar(ext: ExtendedNetwork, routing: RoutingState) -> np.ndar
                 frac = phi[j, e]
                 if frac != 0.0:
                     tj[ext.edge_head[e]] += ti * frac * ext.gain[j, e]
-    return t
-
-
-def solve_traffic_linear(ext: ExtendedNetwork, routing: RoutingState) -> np.ndarray:
-    """Independent cross-check of :func:`solve_traffic` via a sparse solve.
-
-    Builds ``(I - P^T) t = r`` per commodity, where ``P[l, i] = phi_li * beta_li``.
-    Works for any loop-free routing set; used in tests to validate the
-    topological solver.
-    """
-    phi = routing.phi
-    t = np.zeros((ext.num_commodities, ext.num_nodes), dtype=float)
-    r = external_inputs(ext)
-    n = ext.num_nodes
-    for view in ext.commodities:
-        j = view.index
-        rows, cols, vals = [], [], []
-        for e in view.edge_indices:
-            weight = phi[j, e] * ext.gain[j, e]
-            if weight != 0.0:
-                rows.append(ext.edge_head[e])
-                cols.append(ext.edge_tail[e])
-                vals.append(weight)
-        transfer = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        system = sp.eye(n, format="csr") - transfer
-        t[j] = spla.spsolve(system.tocsc(), r[j])
     return t
 
 

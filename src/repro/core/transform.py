@@ -28,15 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.commodity import StreamNetwork
+from repro.core.graph import topological_order
 from repro.core.network import NodeKind
 from repro.core.utility import UtilityFunction
 from repro.exceptions import TransformError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Edge = Tuple[str, str]
 
@@ -414,6 +417,8 @@ class ExtendedNetwork:
         raise TransformError(f"unknown commodity {name!r}")
 
     def to_networkx(self) -> "nx.DiGraph":
+        import networkx as nx
+
         graph = nx.DiGraph()
         for n in self.nodes:
             graph.add_node(n.index, name=n.name, kind=n.kind.value, capacity=n.capacity)
@@ -581,8 +586,9 @@ def _fill_commodity_row(
 
     This is the per-commodity half of the transformation: the cost/gain
     tables, the sorted allowed edge set, the DAG check, and the topological
-    order.  It is the expensive (networkx) part the delta path skips for
-    untouched commodities.
+    order (:func:`repro.core.graph.topological_order`, which lists the
+    nodes exactly as networkx's ``topological_sort`` would).  The delta
+    path skips it for untouched commodities.
     """
     view = skeleton.views[j]
     edges = skeleton.edges
@@ -604,15 +610,15 @@ def _fill_commodity_row(
         edge_indices.append(e)
     view.edge_indices = sorted(edge_indices)
 
-    subgraph = nx.DiGraph()
-    for e_idx in view.edge_indices:
-        subgraph.add_edge(edges[e_idx].tail, edges[e_idx].head)
-    if not nx.is_directed_acyclic_graph(subgraph):
+    order = topological_order(
+        (edges[e_idx].tail, edges[e_idx].head) for e_idx in view.edge_indices
+    )
+    if order is None:
         raise TransformError(
             f"commodity {commodity.name!r}: extended subgraph is not a DAG"
         )
-    view.node_indices = sorted(subgraph.nodes())
-    view.topo_order = list(nx.topological_sort(subgraph))
+    view.node_indices = sorted(order)
+    view.topo_order = order
 
 
 def _check_bookkeeping(

@@ -44,7 +44,6 @@ from repro.core.commodity import StreamNetwork
 from repro.core.delta import apply_delta, carry_routing, compile_event
 from repro.core.gradient import GradientAlgorithm, GradientConfig
 from repro.core.marginals import evaluate_cost
-from repro.core.optimal import solve_optimal
 from repro.core.routing import feasibility_report, initial_routing
 from repro.core.solution import Solution, build_solution
 from repro.core.transform import build_extended_network
@@ -367,6 +366,8 @@ class OnlineOrchestrator:
                         algo = GradientAlgorithm(
                             ext, self.config, backend=backend
                         )
+
+                from repro.core.optimal import solve_optimal
 
                 with inst.phase("reference_optimum"):
                     new_optimum = solve_optimal(ext).utility

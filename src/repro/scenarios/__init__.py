@@ -1,7 +1,7 @@
 """Declarative workload construction: topologies, traces, failures, specs.
 
 This package unifies what used to be scattered across five
-``repro.workloads`` modules (now deprecated shims) behind one abstraction:
+``repro.workloads`` modules (since removed) behind one abstraction:
 
 * :class:`ScenarioSpec` -- a frozen ``topology + demand + failures +
   placement + seed`` description that :meth:`~ScenarioSpec.compile`\\ s to

@@ -15,9 +15,7 @@ Two layers live here:
   serve daemon -- the ``diurnal`` / ``flash-crowd`` demand kinds of
   :class:`repro.scenarios.ScenarioSpec`.
 
-Everything is deterministic given a seed.  (The slot traces moved here
-from ``repro.workloads.traces``, which remains as a deprecated shim for
-one release.)
+Everything is deterministic given a seed.
 """
 
 from __future__ import annotations

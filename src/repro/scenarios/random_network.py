@@ -18,16 +18,12 @@ U[10, 50]; large enough that capacities bind and admission control is
 active.  Both choices are recorded in DESIGN.md/EXPERIMENTS.md.
 
 All generation is deterministic given ``seed``.
-
-(Moved here from ``repro.workloads.random_network``, which remains as a
-deprecated shim for one release.)
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.commodity import Commodity, StreamNetwork
@@ -180,6 +176,8 @@ def _assign_layers(
     # two commodities share a node) must be connected, otherwise the union
     # graph falls apart.  Merge components by planting a node of one
     # commodity into an interior layer of another.
+    import networkx as nx
+
     overlap = nx.Graph()
     overlap.add_nodes_from(range(num_j))
     for a in range(num_j):

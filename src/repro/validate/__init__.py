@@ -20,48 +20,49 @@ Wired through the stack as ``solve(..., validate=True | "strict")``, the
 ``profile``.  See docs/validation.md.
 """
 
-from repro.validate.checks import (
-    CHECK_NAMES,
-    CheckResult,
-    InvariantChecker,
-    Tolerances,
-    ValidationReport,
-    attach_validation,
-    solution_flows,
-)
-from repro.validate.faults import (
-    FAULT_NAMES,
-    SelfTestRecord,
-    inject_fault,
-    run_self_test,
-)
-from repro.validate.oracle import (
-    STALENESS_DRIFT_RTOL,
-    AlgorithmSpec,
-    DifferentialOracle,
-    OracleReport,
-    RebuildOracleReport,
-    RebuildStepReport,
-    calibrated_gradient_config,
-)
+import importlib
+from typing import Any, List
 
-__all__ = [
-    "CHECK_NAMES",
-    "CheckResult",
-    "InvariantChecker",
-    "Tolerances",
-    "ValidationReport",
-    "attach_validation",
-    "solution_flows",
-    "FAULT_NAMES",
-    "SelfTestRecord",
-    "inject_fault",
-    "run_self_test",
-    "STALENESS_DRIFT_RTOL",
-    "AlgorithmSpec",
-    "DifferentialOracle",
-    "OracleReport",
-    "RebuildOracleReport",
-    "RebuildStepReport",
-    "calibrated_gradient_config",
-]
+# public name -> defining module, imported on first access (PEP 562): the
+# daemon's per-epoch audit needs only ``checks``, not the fault injector
+# (which pulls in the LP solver and the scenario generators)
+_EXPORTS = {
+    name: f"repro.validate.{module}"
+    for module, names in {
+        "checks": (
+            "CHECK_NAMES",
+            "CheckResult",
+            "InvariantChecker",
+            "Tolerances",
+            "ValidationReport",
+            "attach_validation",
+            "solution_flows",
+            "solve_traffic_linear",
+        ),
+        "faults": ("FAULT_NAMES", "SelfTestRecord", "inject_fault", "run_self_test"),
+        "oracle": (
+            "STALENESS_DRIFT_RTOL",
+            "AlgorithmSpec",
+            "DifferentialOracle",
+            "OracleReport",
+            "RebuildOracleReport",
+            "RebuildStepReport",
+            "calibrated_gradient_config",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -51,7 +51,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.routing import commodity_edge_flows, solve_traffic
+from repro.core.routing import (
+    RoutingState,
+    commodity_edge_flows,
+    external_inputs,
+    solve_traffic,
+)
 from repro.core.solution import Solution
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ValidationError
@@ -64,6 +69,7 @@ __all__ = [
     "ValidationReport",
     "InvariantChecker",
     "solution_flows",
+    "solve_traffic_linear",
     "attach_validation",
 ]
 
@@ -212,6 +218,37 @@ def solution_flows(ext: ExtendedNetwork, solution: Solution) -> Optional[np.ndar
     if arc is not None:
         return np.asarray(arc, dtype=float)
     return None
+
+
+def solve_traffic_linear(ext: ExtendedNetwork, routing: RoutingState) -> np.ndarray:
+    """Independent cross-check of :func:`solve_traffic` via a sparse solve.
+
+    Builds ``(I - P^T) t = r`` per commodity, where ``P[l, i] = phi_li * beta_li``.
+    Works for any loop-free routing set; used in tests to validate the
+    topological solver.  It sits here rather than in
+    :mod:`repro.core.routing` so the solver never imports
+    ``scipy.sparse.linalg``.
+    """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    phi = routing.phi
+    t = np.zeros((ext.num_commodities, ext.num_nodes), dtype=float)
+    r = external_inputs(ext)
+    n = ext.num_nodes
+    for view in ext.commodities:
+        j = view.index
+        rows, cols, vals = [], [], []
+        for e in view.edge_indices:
+            weight = phi[j, e] * ext.gain[j, e]
+            if weight != 0.0:
+                rows.append(ext.edge_head[e])
+                cols.append(ext.edge_tail[e])
+                vals.append(weight)
+        transfer = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        system = sp.eye(n, format="csr") - transfer
+        t[j] = spla.spsolve(system.tocsc(), r[j])
+    return t
 
 
 def _skip(name: str, detail: str) -> CheckResult:

@@ -1,0 +1,89 @@
+"""The import floor of the solve path, and the lazy public packages.
+
+The solver's cold start loads only what a solve uses: the gradient core
+never imports networkx (scenarios and exports only), ``scipy.optimize``
+(the LP reference) or ``scipy.sparse.linalg`` (a test cross-check), and a
+run imports nothing at all.  Each floor check runs in a fresh interpreter,
+since this test process has long since imported everything.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+import repro.api
+import repro.core
+from repro.io import network_to_dict
+from repro.scenarios import diamond_network
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+HEAVY = ("networkx", "scipy.optimize", "scipy.sparse.linalg")
+
+
+def _run(code: str, stdin: str = "") -> dict:
+    """Run ``code`` in a fresh interpreter; it prints one JSON document."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_core_modules_load_no_heavy_dependency():
+    loaded = _run(
+        "import json, sys\n"
+        "import repro.core.gradient, repro.core.transform, repro.core.routing\n"
+        "import repro.io\n"
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
+def test_gradient_run_imports_nothing():
+    model = json.dumps(network_to_dict(diamond_network()))
+    added = _run(
+        "import json, sys\n"
+        "from repro.core.gradient import GradientAlgorithm, GradientConfig\n"
+        "from repro.core.transform import build_extended_network\n"
+        "from repro.io import network_from_dict\n"
+        "ext = build_extended_network(network_from_dict(json.load(sys.stdin)))\n"
+        "algo = GradientAlgorithm(ext, GradientConfig(max_iterations=20))\n"
+        "before = set(sys.modules)\n"
+        "algo.run()\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n",
+        stdin=model,
+    )
+    assert added == []
+
+
+@pytest.mark.parametrize("package", [repro, repro.core, repro.api])
+def test_every_public_name_resolves_and_is_listed(package):
+    listed = dir(package)
+    for name in package.__all__:
+        assert getattr(package, name) is not None
+        assert name in listed
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from repro import *", namespace)
+    assert set(repro.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("package", [repro, repro.core, repro.api])
+def test_unknown_name_raises_attribute_error(package):
+    with pytest.raises(AttributeError, match=re.escape(repr(package.__name__))):
+        getattr(package, "no_such_name")

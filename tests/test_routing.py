@@ -19,7 +19,6 @@ from repro.core.routing import (
     require_feasible,
     resource_usage,
     solve_traffic,
-    solve_traffic_linear,
     uniform_routing,
     validate_routing,
 )
@@ -27,6 +26,7 @@ from repro.core.routing import solve_traffic_scalar, utilization_profile
 from repro.exceptions import InfeasibleError, RoutingError
 from repro.scenarios import diamond_network, random_stream_network
 from repro.scenarios import RandomNetworkSpec
+from repro.validate import solve_traffic_linear
 
 
 class TestInitialRouting:

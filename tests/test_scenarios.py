@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -380,58 +379,6 @@ class TestRegistry:
         for name in ("churn-smoke-20", "serve-demo-24", "flash-crowd-30"):
             compiled = scenario(name).compile()
             assert compiled.events
-
-
-class TestWorkloadShims:
-    def setup_method(self):
-        from repro.workloads import _shim
-
-        _shim._reset_warned()
-
-    def test_warns_once_per_name_with_replacement(self):
-        import repro.workloads as workloads
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = workloads.churn_network
-            again = workloads.churn_network
-            other = workloads.ChurnSpec
-        assert first is again
-        messages = [str(w.message) for w in caught]
-        assert len(messages) == 2  # one per distinct name, not per access
-        assert any(
-            "repro.scenarios.churn_network" in m and "deprecated" in m
-            for m in messages
-        )
-        assert other is ChurnSpec
-
-    def test_every_legacy_module_forwards(self):
-        import repro.scenarios as scenarios
-        import repro.workloads.churn
-        import repro.workloads.layered
-        import repro.workloads.random_network
-        import repro.workloads.scenarios
-        import repro.workloads.traces
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert (
-                repro.workloads.random_network.random_stream_network
-                is scenarios.random_stream_network
-            )
-            assert repro.workloads.layered.diamond_network is scenarios.diamond_network
-            assert (
-                repro.workloads.scenarios.figure1_network
-                is scenarios.figure1_network
-            )
-            assert repro.workloads.churn.churn_trace is scenarios.churn_trace
-            assert repro.workloads.traces.poisson_trace is scenarios.poisson_trace
-
-    def test_unknown_name_still_raises_attribute_error(self):
-        import repro.workloads as workloads
-
-        with pytest.raises(AttributeError):
-            workloads.not_a_generator
 
 
 class TestHypothesisStrategy:
