@@ -38,8 +38,7 @@ Examples
 ``solve --json`` emits one JSON document (the ``repro.result/1`` schema,
 plus an embedded ``repro.metrics/1`` registry section when instrumentation
 ran); ``--metrics-out`` / ``--trace-out`` write the full metrics document
-and a ``chrome://tracing`` timeline.  ``--eta`` still works as a deprecated
-alias of ``--step-size``.
+and a ``chrome://tracing`` timeline.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import List, Optional
 
 # Each command imports what it runs inside its handler: ``--help`` and
@@ -528,11 +526,10 @@ def _add_solver_options(
     )
     parser.add_argument(
         "--step-size",
-        "--eta",
         dest="step_size",
         type=float,
         default=0.04,
-        help="gradient step size eta (--eta is a deprecated alias)",
+        help="gradient step size eta",
     )
     parser.add_argument("--eps", type=float, default=0.2)
     parser.add_argument("--adaptive", action="store_true", help="adaptive step scale")
@@ -758,20 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_deprecated_flags(argv: List[str]) -> None:
-    # argparse in this Python has no deprecated= support, so the alias is
-    # detected on the raw argv before parsing
-    if any(token == "--eta" or token.startswith("--eta=") for token in argv):
-        warnings.warn(
-            "--eta is deprecated; use --step-size", DeprecationWarning, stacklevel=2
-        )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _warn_deprecated_flags(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -52,7 +52,7 @@ from repro.core.routing import (
     validate_routing,
 )
 from repro.core.solution import Solution, build_solution
-from repro.core.state import csr_row_sums
+from repro.core.state import row_sums
 from repro.core.transform import CommodityGammaPlan, ExtendedNetwork
 from repro.exceptions import ConvergenceError
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
@@ -155,7 +155,7 @@ def apply_gamma_at_node(
 def _row_sums(plan: CommodityGammaPlan, values: np.ndarray) -> np.ndarray:
     """Per-node sums of a per-cell vector, accumulated left to right from
     ``0.0`` in out-edge order -- the scalar kernel's accumulators."""
-    return csr_row_sums(plan.indptr, plan.positions, plan.ones, values)
+    return row_sums(plan.row_of, values, plan.nodes.size)
 
 
 def apply_gamma_batch(
@@ -173,7 +173,7 @@ def apply_gamma_batch(
     ``plan`` (the sync/distributed equivalence tests pin this): every float
     operation mirrors the scalar kernel's.  The pass touches only the
     plan's cells (no padding); the per-node ``moved``, ``free`` and
-    ``frozen`` sums are CSR row-sums in out-edge order from a ``0.0``
+    ``frozen`` sums are row sums in out-edge order from a ``0.0``
     accumulator, the scalar loops' association, and the best edge is the
     first minimum (``np.argmin``'s rule, including its first-NaN rule).
     Nodes update disjoint out-edge sets, so batching over them is exact.

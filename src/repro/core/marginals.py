@@ -255,7 +255,7 @@ def all_marginal_costs(
 ) -> np.ndarray:
     """``dA/dr`` for all commodities: shape ``(J, V)``.
 
-    One cross-commodity reverse wave of CSR row-sums over the height
+    One cross-commodity reverse wave of row sums over the height
     levels of :class:`repro.core.state.ModelState` -- the contributions of
     :func:`marginal_cost_to_destination_scalar` in its order, so each row
     is bit identical to it.

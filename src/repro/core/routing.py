@@ -173,7 +173,7 @@ def solve_traffic(ext: ExtendedNetwork, routing: RoutingState) -> np.ndarray:
     each extended node.  Exact in one topological pass per commodity because
     the allowed subgraphs are DAGs.
 
-    Runs as CSR row-sum sweeps over the depth levels of the cached
+    Runs as row-sum sweeps over the depth levels of the cached
     :class:`~repro.core.state.ModelState`, which visit the same
     contributions in the same order as :func:`solve_traffic_scalar` -- bit
     identical, pinned by the property tests.

@@ -37,24 +37,23 @@ Bit-identity with the scalar reference
 
 The ``*_scalar`` functions accumulate floating-point sums in a specific
 order, and float addition is not associative, so every sum here is a
-*CSR row-sum*: within a level, entries are stored row by row and, inside
-a row, in the scalar visitation order (``commodity_out_edges`` order for
-the reverse wave and Gamma).  ``scipy``'s ``csr_matvec`` accumulates a
-row's stored entries sequentially onto the output, which starts at
-``0.0`` -- the same ``((0 + c1) + c2) + ...`` association as the scalar
-loops, which start their accumulators at ``0.0`` too.  The unit weights
-multiply exactly (``1.0 * x == x``).  The sweeps call ``csr_matvec``
-directly on each level's prebuilt arrays (``S.dot`` wraps the same call
-in several microseconds of checks).  A level whose rows all hold a single
-entry skips the mat-vec and writes ``0.0 + contrib``: the zero-accumulator
+*row sum in entry order*: within a level, entries are stored row by row
+and, inside a row, in the scalar visitation order (``commodity_out_edges``
+order for the reverse wave and Gamma).  :func:`row_sums` is
+``np.bincount(rows, weights=x)``, which adds ``x[k]`` onto
+``out[rows[k]]`` for ``k = 0, 1, ...`` starting from ``+0.0`` -- the same
+``((0 + c1) + c2) + ...`` association as the scalar loops, which start
+their accumulators at ``0.0`` too.  A level whose rows all hold a single
+entry skips the sum and writes ``0.0 + contrib``: the zero-accumulator
 sum of one term, bitwise, including for ``-0.0``.
 
 * Skipped zero contributions (the scalar walks skip ``phi == 0`` edges)
   add an exact ``+0.0`` to a non-negative partial sum.
-* **Usage** (eq. (4)): the per-edge row of an ``(E, P)`` CSR sums the
-  commodities in ascending ``j``, the dense axis-0 reduce's association.
-  **Node usage** (eq. (5)) is a ``(V, E)`` row-sum in ascending edge id,
-  the order ``np.add.at`` over ``edge_tail`` accumulates in.
+* **Usage** (eq. (4)): the cells are ordered by ``(j, e)``, so summing
+  ``contrib * cost`` by edge adds each edge's commodities in ascending
+  ``j``, the dense axis-0 reduce's association.  **Node usage** (eq. (5))
+  sums each node's out-edge usage in ascending edge id, the order
+  ``np.add.at`` over ``edge_tail`` accumulates in.
 
 ``GradientAlgorithm.step_reference`` and the property tests pin all of
 this against the scalar functions, byte for byte.
@@ -76,12 +75,10 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from repro.core.transform import CommodityGammaPlan, ExtendedNetwork
 
-__all__ = ["ModelState", "Wave", "WaveLevel", "BlockPlans"]
+__all__ = ["ModelState", "Wave", "WaveLevel", "BlockPlans", "row_sums"]
 
 
 class WaveLevel(NamedTuple):
@@ -90,10 +87,9 @@ class WaveLevel(NamedTuple):
     ``nodes`` are the level's rows (flat ids, ascending, hence grouped by
     commodity).  The level's entries are ``[start, stop)`` of its
     :class:`Wave`'s entry arrays, stored row by row; ``tails`` / ``heads``
-    / ``gains`` are views of that span.  ``indptr`` / ``starts`` are the
-    CSR row boundaries (both ``None`` when every row holds a single
-    entry); ``columns`` / ``ones`` complete the unit-weight CSR that
-    ``csr_matvec`` sums with.
+    / ``gains`` are views of that span and ``rows`` holds each entry's row.
+    ``indptr`` / ``starts`` are the row boundaries (both ``None`` when
+    every row holds a single entry).
     """
 
     nodes: np.ndarray  # (n,) flat node ids (j*V + v), ascending
@@ -104,8 +100,7 @@ class WaveLevel(NamedTuple):
     stop: int
     indptr: Optional[np.ndarray]  # (n + 1,) row boundaries; None if 1:1
     starts: Optional[np.ndarray]  # (n,) indptr[:-1]; None if 1:1
-    columns: np.ndarray  # (p,) arange(p)
-    ones: np.ndarray  # (p,) 1.0
+    rows: np.ndarray  # (p,) row of each entry, in [0, n)
 
 
 class Wave(NamedTuple):
@@ -149,7 +144,6 @@ class BlockPlans:
     cell_lo: int
     cell_hi: int
     cell_level: np.ndarray  # (cell_hi - cell_lo,)
-    usage_S: sp.csr_matrix  # (E, cell_hi - cell_lo)
     gamma_plan: Optional[CommodityGammaPlan]
 
 
@@ -163,39 +157,12 @@ def _level_split(keys: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def _selection_csr(
-    targets: np.ndarray, groups: np.ndarray, data: Optional[np.ndarray] = None
-) -> sp.csr_matrix:
-    """CSR summing entry ``p`` into row ``searchsorted(groups, targets[p])``.
-
-    ``groups`` must be sorted unique.  Column ``p`` is the entry position,
-    so ``tocsr``'s (row, col) ordering stores each row's entries in entry
-    order -- which the callers arrange to be the scalar visitation order.
-    """
-    n = targets.size
-    rows = np.searchsorted(groups, targets)
-    values = np.ones(n, dtype=float) if data is None else np.asarray(data, dtype=float)
-    matrix = sp.csr_matrix(
-        (values, (rows, np.arange(n, dtype=np.intp))),
-        shape=(groups.size, n),
-    )
-    matrix.sort_indices()
-    return matrix
-
-
-def csr_row_sums(
-    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """``y[i] = sum(data[k] * x[indices[k]])`` over row ``i``'s stored
-    entries, added one by one onto ``y[i] = 0.0`` -- ``csr_matvec`` called
-    directly, the same sequential sums as ``S.dot`` without its checks."""
-    y = np.zeros(indptr.size - 1, dtype=float)
-    csr_matvec(y.size, x.size, indptr, indices, data, x, y)
-    return y
-
-
-def _matvec(S: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    return csr_row_sums(S.indptr, S.indices, S.data, x)
+def row_sums(rows: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """``y[i] = sum(x[k] for rows[k] == i)``, each ``x[k]`` added in entry
+    order onto ``y[i] = +0.0``: ``np.bincount``'s sequential loop."""
+    if rows.size == 0:
+        return np.zeros(n)  # bincount of no entries is an int array
+    return np.bincount(rows, weights=x, minlength=n)
 
 
 def _row_sums(level: WaveLevel, contrib: np.ndarray) -> np.ndarray:
@@ -203,7 +170,7 @@ def _row_sums(level: WaveLevel, contrib: np.ndarray) -> np.ndarray:
     if level.indptr is None:
         # one entry per row: the zero-accumulator sum of a single term
         return 0.0 + contrib
-    return csr_row_sums(level.indptr, level.columns, level.ones, contrib)
+    return row_sums(level.rows, contrib, level.nodes.size)
 
 
 def _make_wave(
@@ -237,8 +204,7 @@ def _make_wave(
                 stop=stop,
                 indptr=indptr,
                 starts=starts,
-                columns=np.arange(rows.size, dtype=np.intp),
-                ones=np.ones(rows.size, dtype=float),
+                rows=rows,
             )
         )
     return Wave(
@@ -306,14 +272,6 @@ class ModelState:
             np.intp
         )
         self.num_cells = int(self.cell_edges.size)
-
-        # eq. (4): per-edge usage as one (E, P) CSR whose row ``e`` holds the
-        # commodity cells of ``e`` in ascending ``j``
-        self.usage_S = _selection_csr(
-            self.cell_raw, np.arange(E, dtype=np.intp), data=self.cell_cost
-        )
-        # eq. (5): per-node usage as one (V, E) CSR in ascending edge id
-        self.node_S = _selection_csr(ext.edge_tail, np.arange(V, dtype=np.intp))
 
         # position of a flat edge in the cell list
         cell_lookup = np.full(J * E, -1, dtype=np.intp)
@@ -412,7 +370,6 @@ class ModelState:
             cell_lo=0,
             cell_hi=self.num_cells,
             cell_level=cell_level,
-            usage_S=self.usage_S,
             gamma_plan=self.gamma_plan if self.gamma_plan.nodes.size else None,
         )
         self.forward_levels = forward.levels
@@ -432,7 +389,7 @@ class ModelState:
     # -- full-width kernels ----------------------------------------------------------
     def solve_traffic_into(self, t_flat: np.ndarray, phi_flat: np.ndarray) -> None:
         """Eq. (3) forward wave over ``t_flat`` (pre-filled with external
-        inputs), one CSR row-sum per depth level."""
+        inputs), one row sum per depth level."""
         self.solve_traffic_block(t_flat, phi_flat, 0, self.num_commodities)
 
     def resource_usage(
@@ -447,7 +404,7 @@ class ModelState:
 
     def node_usage(self, edge_usage: np.ndarray) -> np.ndarray:
         """Eq. (5): sum each node's out-edge usage in ascending edge id."""
-        return _matvec(self.node_S, edge_usage)
+        return row_sums(self.edge_tail, edge_usage, self.num_nodes)
 
     def marginal_costs_into(
         self,
@@ -536,11 +493,6 @@ class ModelState:
             cell_lo=c0,
             cell_hi=c1,
             cell_level=_cell_levels(reverse, c1 - c0),
-            usage_S=_selection_csr(
-                self.cell_raw[c0:c1],
-                np.arange(self.num_edges, dtype=np.intp),
-                data=self.cell_cost[c0:c1],
-            ),
             gamma_plan=gamma_plan,
         )
         self._blocks[key] = plans
@@ -564,14 +516,15 @@ class ModelState:
     ) -> np.ndarray:
         """The block's ``(E,)`` usage partial sum.
 
-        Summing shard partials in ascending shard order reproduces the
-        full CSR row-sum association exactly (contiguous sub-sums of a
-        left-to-right sequential sum).
+        Each edge sums its cells in ascending ``j``; summing shard partials
+        in ascending shard order reproduces the full sum's association
+        exactly (contiguous sub-sums of a left-to-right sequential sum).
         """
         plans = self.block(lo, hi)
         c0, c1 = plans.cell_lo, plans.cell_hi
         contrib = t_flat[self.cell_tails[c0:c1]] * phi_flat[self.cell_edges[c0:c1]]
-        return _matvec(plans.usage_S, contrib)
+        contrib *= self.cell_cost[c0:c1]
+        return row_sums(self.cell_raw[c0:c1], contrib, self.num_edges)
 
     def marginal_costs_block(
         self,

@@ -145,7 +145,7 @@ class CommodityGammaPlan:
     out-edge always carries fraction 1).  Row ``n``'s out-edges are
     ``targets[indptr[n]:indptr[n + 1]]`` in ``commodity_out_edges`` order:
     a CSR layout over the valid cells only, so every per-node sum of the
-    kernel is a CSR row-sum in the scalar kernel's order.
+    kernel is a row sum in the scalar kernel's order.
 
     ``targets`` index the routing row; ``cells`` index the ``delta`` and
     ``blocked`` vectors, and equal ``targets`` unless given.  The merged
@@ -159,12 +159,11 @@ class CommodityGammaPlan:
     indptr: np.ndarray  # (N + 1,) row boundaries into targets
     cells: np.ndarray = None  # (K,) delta / blocked positions (default: targets)
     # derived, filled in __post_init__ because the kernel runs every
-    # iteration: the row of each cell, each row's first cell, the cell
-    # positions and the unit CSR weights the row sums multiply by
+    # iteration: the row of each cell, each row's first cell and the cell
+    # positions
     row_of: np.ndarray = None  # (K,)
     starts: np.ndarray = None  # (N,) == indptr[:-1]
     positions: np.ndarray = None  # (K,) == arange(K)
-    ones: np.ndarray = None  # (K,) == 1.0
 
     def __post_init__(self):
         num_cells = self.targets.size
@@ -177,7 +176,6 @@ class CommodityGammaPlan:
         )
         object.__setattr__(self, "starts", self.indptr[:-1])
         object.__setattr__(self, "positions", np.arange(num_cells, dtype=np.intp))
-        object.__setattr__(self, "ones", np.ones(num_cells, dtype=float))
 
 
 class ExtendedNetwork:

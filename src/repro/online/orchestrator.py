@@ -39,7 +39,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.convergence import iterations_to_fraction
 from repro.core.commodity import StreamNetwork
 from repro.core.delta import apply_delta, carry_routing, compile_event
 from repro.core.gradient import GradientAlgorithm, GradientConfig
@@ -415,6 +414,8 @@ class OnlineOrchestrator:
 
         # recovery times: first recorded iteration (after the event) whose
         # utility reaches 95% of the new optimum
+        from repro.analysis.convergence import iterations_to_fraction
+
         for report in recoveries:
             later = [
                 (r.iteration, r.utility)

@@ -8,7 +8,7 @@ rows.  :class:`ParallelBackend` shards that per-commodity work across a
 :class:`~concurrent.futures.ProcessPoolExecutor`, keeping the iterates
 **bit-identical** to the serial engine:
 
-* workers run the serial engine's own CSR sweeps restricted to a
+* workers run the serial engine's own row-sum sweeps restricted to a
   contiguous commodity row-block (:meth:`repro.core.state.ModelState.
   block`);
 * the only cross-commodity coupling -- summing resource usage into
@@ -28,8 +28,7 @@ actually pays off.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +41,11 @@ from repro.core.state import ModelState
 from repro.core.transform import ExtendedNetwork
 from repro.exceptions import ParallelExecutionError
 from repro.obs.instrumentation import NULL_INSTRUMENTATION
-from repro.parallel.shm import SharedArraySet
-from repro.parallel.worker import init_worker, run_shard
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    from repro.parallel.shm import SharedArraySet
 
 __all__ = [
     "ExecutionBackend",
@@ -317,6 +319,13 @@ class ParallelBackend(ExecutionBackend):
                 "ParallelBackend used before bind(); construct it via "
                 "GradientAlgorithm(..., backend=...) or call bind(ext, config)"
             )
+        # the pool modules load here, so a serial solve never imports them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.parallel.shm import SharedArraySet
+        from repro.parallel.worker import init_worker
+
         ext = self._ext
         # build the model state once on the master so the pickled network
         # the workers receive already carries it
@@ -333,8 +342,6 @@ class ParallelBackend(ExecutionBackend):
             shm.create("usage", (self._pool_size, ext.num_edges))
             shm.create("traffic", (ext.num_commodities, ext.num_nodes))
             shm.create("dadf", (ext.num_edges,))
-            import multiprocessing
-
             ctx = (
                 multiprocessing.get_context(self._start_method)
                 if self._start_method
@@ -395,6 +402,8 @@ class ParallelBackend(ExecutionBackend):
     def _dispatch(
         self, phase: str, args: Sequence[Any] = (), indexed: bool = False
     ) -> List[Any]:
+        from repro.parallel.worker import run_shard
+
         assert self._pool is not None
         if indexed:
             # phases that publish per-shard results (the array core's usage
@@ -414,7 +423,7 @@ class ParallelBackend(ExecutionBackend):
         """Deterministic fixed-order usage reduce (eq. (4)).
 
         Per-shard ``(E,)`` partials summed in ascending-commodity shard
-        order -- contiguous sub-sums of the serial CSR row sum, so the
+        order -- contiguous sub-sums of the serial row sum, so the
         association (and every output bit) is unchanged and worker
         completion order cannot influence a single bit.
         """
@@ -463,6 +472,8 @@ class ParallelBackend(ExecutionBackend):
         else:
             payload = ("patch", applied.delta.scalar, None, ext.epoch)
         with inst.phase("parallel_refresh", epoch=ext.epoch):
+            from repro.parallel.worker import run_shard
+
             assert self._pool is not None
             futures = [
                 self._pool.submit(run_shard, "refresh", k, k, payload)

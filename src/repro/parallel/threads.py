@@ -225,7 +225,7 @@ class ThreadBackend(ExecutionBackend):
         phi_flat = phi.reshape(-1)
         state.solve_traffic_block(t_flat, phi_flat, lo, hi)
         # per-shard (E,) usage partial; the master sums partials in shard
-        # order, which reproduces the full CSR row-sum association exactly
+        # order, which reproduces the full row-sum association exactly
         self._usage[self._shard_index[lo]] = state.usage_partial_block(
             phi_flat, t_flat, lo, hi
         )

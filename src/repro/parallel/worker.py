@@ -13,7 +13,7 @@ iteration, the third is the bounded-staleness batch:
     Solve the flow balance (eq. (3)) for the owned commodity block and
     write its traffic rows and its ``(E,)`` resource-usage partial into
     shared memory.  The master then sums the partials in ascending shard
-    order -- contiguous sub-sums of the serial CSR row sum, so the same
+    order -- contiguous sub-sums of the serial row sum, so the same
     bits -- to obtain ``edge_usage``/``node_usage``.
 
 ``step``
@@ -203,7 +203,7 @@ def _forecast_shard(lo: int, hi: int, shard: int) -> Dict[str, float]:
     traffic[lo:hi] = external_inputs_rows(ext, lo, hi)
     state.solve_traffic_block(traffic.reshape(-1), phi_flat, lo, hi)
     # per-shard (E,) usage partial in shm row `shard`; the master sums
-    # partials in shard order, which reproduces the serial CSR row-sum
+    # partials in shard order, which reproduces the serial row-sum
     # association exactly
     _ARRAYS["usage"][shard] = state.usage_partial_block(
         phi_flat, traffic.reshape(-1), lo, hi

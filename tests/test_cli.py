@@ -210,19 +210,11 @@ class TestSolve:
                 ["solve", str(model_path), "--method", "optimal", "--workers", "2"]
             )
 
-    def test_eta_alias_warns(self, model_path, capsys):
-        with pytest.warns(DeprecationWarning, match="--step-size"):
-            code = main(
-                [
-                    "solve",
-                    str(model_path),
-                    "--eta",
-                    "0.05",
-                    "--max-iterations",
-                    "50",
-                ]
-            )
-        assert code == 0
+    def test_retired_eta_flag_exits_2(self, model_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(model_path), "--eta", "0.05"])
+        assert exc.value.code == 2
+        assert "--eta" in capsys.readouterr().err
 
 
 class TestProfile:

@@ -1,10 +1,11 @@
 """The import floor of the solve path, and the lazy public packages.
 
 The solver's cold start loads only what a solve uses: the gradient core
-never imports networkx (scenarios and exports only), ``scipy.optimize``
-(the LP reference) or ``scipy.sparse.linalg`` (a test cross-check), and a
-run imports nothing at all.  Each floor check runs in a fresh interpreter,
-since this test process has long since imported everything.
+never imports networkx (scenarios and exports only) or any of scipy (the
+LP reference and the validators), a serial solve never loads the pool
+modules, and a run imports nothing at all.  Each floor check runs in a
+fresh interpreter, since this test process has long since imported
+everything.
 """
 
 from __future__ import annotations
@@ -21,11 +22,21 @@ import pytest
 import repro
 import repro.api
 import repro.core
+import repro.parallel
 from repro.io import network_to_dict
 from repro.scenarios import diamond_network
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-HEAVY = ("networkx", "scipy.optimize", "scipy.sparse.linalg")
+HEAVY = ("networkx", "scipy")
+# the process and thread pools and the delta layer their workers patch with
+POOL = (
+    "multiprocessing",
+    "concurrent.futures",
+    "repro.parallel.worker",
+    "repro.parallel.threads",
+    "repro.parallel.shm",
+    "repro.core.delta",
+)
 
 
 def _run(code: str, stdin: str = "") -> dict:
@@ -52,6 +63,41 @@ def test_core_modules_load_no_heavy_dependency():
     assert loaded == []
 
 
+def test_solve_path_loads_no_scipy_and_no_pool():
+    """Neither list loads at import, at ``GradientAlgorithm(...)`` or in
+    ``run()``: the pools load only when a pool starts."""
+    model = json.dumps(network_to_dict(diamond_network()))
+    loaded = _run(
+        "import json, sys\n"
+        f"watch = {HEAVY + POOL!r}\n"
+        "seen = {}\n"
+        "def mark(stage):\n"
+        "    seen[stage] = [m for m in watch if m in sys.modules]\n"
+        "from repro.core.gradient import GradientAlgorithm, GradientConfig\n"
+        "from repro.core.transform import build_extended_network\n"
+        "from repro.io import network_from_dict\n"
+        "mark('import')\n"
+        "ext = build_extended_network(network_from_dict(json.load(sys.stdin)))\n"
+        "algo = GradientAlgorithm(ext, GradientConfig(max_iterations=20))\n"
+        "mark('construct')\n"
+        "algo.run()\n"
+        "mark('run')\n"
+        "print(json.dumps(seen))\n",
+        stdin=model,
+    )
+    assert loaded == {"import": [], "construct": [], "run": []}
+
+
+def test_serve_start_loads_no_scipy_networkx_or_analysis():
+    loaded = _run(
+        "import json, sys\n"
+        "import repro.cli, repro.serve.session, repro.serve.server\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        f"    if m.split('.')[0] in {HEAVY!r} or m.startswith('repro.analysis'))))\n"
+    )
+    assert loaded == []
+
+
 def test_gradient_run_imports_nothing():
     model = json.dumps(network_to_dict(diamond_network()))
     added = _run(
@@ -69,7 +115,7 @@ def test_gradient_run_imports_nothing():
     assert added == []
 
 
-@pytest.mark.parametrize("package", [repro, repro.core, repro.api])
+@pytest.mark.parametrize("package", [repro, repro.core, repro.api, repro.parallel])
 def test_every_public_name_resolves_and_is_listed(package):
     listed = dir(package)
     for name in package.__all__:
@@ -83,7 +129,7 @@ def test_star_import():
     assert set(repro.__all__) <= set(namespace)
 
 
-@pytest.mark.parametrize("package", [repro, repro.core, repro.api])
+@pytest.mark.parametrize("package", [repro, repro.core, repro.api, repro.parallel])
 def test_unknown_name_raises_attribute_error(package):
     with pytest.raises(AttributeError, match=re.escape(repr(package.__name__))):
         getattr(package, "no_such_name")

@@ -9,6 +9,9 @@ from ``+0.0``, which ``np.array_equal`` does not.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec
 
 from repro import GradientConfig, solve
@@ -29,7 +32,7 @@ from repro.core.routing import (
     initial_routing,
     solve_traffic_scalar,
 )
-from repro.core.state import ModelState, _row_sums
+from repro.core.state import ModelState, _row_sums, row_sums
 
 
 def same_bytes(a, b) -> bool:
@@ -72,6 +75,79 @@ def reference_delta_cells(ext, dadf, dadr):
         [edge_marginals(ext, j, dadf, dadr[j]) for j in range(ext.num_commodities)]
     )
     return table.reshape(-1)[state.cell_edges]
+
+
+# every float class the sums may meet: signed zeros, infinities, NaN,
+# subnormals, and anything else Hypothesis draws
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+# link costs: the same classes without NaN.  A product of two NaNs has no
+# fixed payload (numpy's SIMD loops return either operand's), and a cost
+# is a model constant that is never NaN
+costs = st.one_of(
+    st.sampled_from([f for f in SPECIAL_FLOATS if f == f]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def row_layouts(draw):
+    """Row widths (empty rows included) and one value per entry."""
+    widths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+    values = draw(st.lists(floats, min_size=sum(widths), max_size=sum(widths)))
+    return np.array(widths, dtype=np.intp), np.array(values, dtype=float)
+
+
+class TestRowSumsMatchCsrMatvec:
+    """``np.bincount`` row sums against scipy's CSR mat-vec, byte for byte.
+
+    scipy is the oracle only: the model core itself never imports it.
+    """
+
+    @given(row_layouts())
+    @settings(deadline=None)
+    def test_unit_weight_row_sums(self, layout):
+        widths, x = layout
+        n = widths.size
+        indptr = np.concatenate(([0], np.cumsum(widths))).astype(np.intp)
+        want = np.zeros(n)
+        csr_matvec(
+            n, x.size, indptr, np.arange(x.size, dtype=np.intp),
+            np.ones(x.size), x, want,
+        )
+        rows = np.repeat(np.arange(n, dtype=np.intp), widths)
+        assert same_bytes(row_sums(rows, x, n), want)
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_usage_sums(self, data):
+        """Eq. (4)'s form: ``contrib * cost`` summed per edge in entry
+        order, against the ``(E, P)`` CSR holding ``cost``."""
+        num_edges = data.draw(st.integers(1, 8))
+        size = data.draw(st.integers(0, 30))
+        raw = np.array(
+            data.draw(st.lists(st.integers(0, num_edges - 1), min_size=size,
+                               max_size=size)),
+            dtype=np.intp,
+        )
+        contrib, cost = (
+            np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
+                     dtype=float)
+            for values in (floats, costs)
+        )
+        matrix = sp.csr_matrix(
+            (cost, (raw, np.arange(size, dtype=np.intp))),
+            shape=(num_edges, size),
+        )
+        matrix.sort_indices()
+        want = np.zeros(num_edges)
+        csr_matvec(
+            num_edges, size, matrix.indptr, matrix.indices, matrix.data,
+            contrib, want,
+        )
+        with np.errstate(all="ignore"):  # 0 * inf, overflow
+            weights = contrib * cost
+        assert same_bytes(row_sums(raw, weights, num_edges), want)
 
 
 class TestCoreSelection:
@@ -190,8 +266,9 @@ class TestKernelBitIdentity:
             contrib = rng.standard_normal(n)
             contrib[:: 2] = -0.0
             want = np.zeros(n)
+            positions = np.arange(n, dtype=np.intp)
             csr_matvec(
-                n, n, np.arange(n + 1, dtype=np.intp), lv.columns, lv.ones,
+                n, n, np.arange(n + 1, dtype=np.intp), positions, np.ones(n),
                 contrib, want,
             )
             got = _row_sums(lv, contrib)
