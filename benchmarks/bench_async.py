@@ -11,8 +11,7 @@ async engine under the chaos fault mix -- and gates:
 
 * **convergence** (every mode, smoke included): the async final utility
   stays within ``STALENESS_DRIFT_RTOL`` of the synchronous reference run
-  for the same epoch count -- the same drift contract the PR 6 staleness
-  backend is held to;
+  for the same epoch count;
 * **message complexity** (via BENCH_ASYNC.json): per-node-per-epoch
   protocol messages are a deterministic property of the topology (one
   marginal report per in-edge plus one forecast per allowed out-edge,
@@ -43,9 +42,8 @@ regression-gated message counters.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, results_dir
 
 from repro.analysis import TableBuilder
 from repro.core import GradientConfig
@@ -174,13 +172,12 @@ def test_async_vs_sync(benchmark):
         f"(staleness={STALENESS}, drift gate {STALENESS_DRIFT_RTOL}"
         + (", SMOKE)" if ASYNC_SMOKE else ")"),
         table.render(),
+        smoke=ASYNC_SMOKE,
     )
 
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
     write_metrics_json(
         inst,
-        results_dir / "BENCH_ASYNC.json",
+        results_dir(ASYNC_SMOKE) / "BENCH_ASYNC.json",
         bench="TAB-ASYNC",
         staleness=STALENESS,
         chaos_seed=CHAOS_SEED,

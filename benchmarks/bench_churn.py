@@ -28,9 +28,8 @@ import os
 import statistics
 import time
 from collections import defaultdict
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, results_dir
 
 from repro.analysis import TableBuilder
 from repro.core.delta import apply_delta, compile_event, diff_extended_networks
@@ -49,7 +48,7 @@ MIN_AGGREGATE_SPEEDUP = 2.0  # whole trace, structural events included
 
 SCALAR_CLASSES = ("DemandChange", "CapacityChange")
 
-# CI smoke mode, matching ITERCORE_SMOKE / PARALLEL_SMOKE: shared runners
+# CI smoke mode, matching ITERCORE_SMOKE: shared runners
 # keep the bit-identity assertions but not the wall-clock bars
 CHURN_SMOKE = os.environ.get("CHURN_SMOKE", "") == "1"
 if CHURN_SMOKE:
@@ -181,6 +180,7 @@ def test_churn_delta_vs_full_rebuild(benchmark):
         f"({NUM_NODES} nodes, {NUM_COMMODITIES} commodities, "
         f"{len(events)} events" + (", SMOKE)" if CHURN_SMOKE else ")"),
         table.render(),
+        smoke=CHURN_SMOKE,
     )
 
     # machine-readable twin in the repro.metrics/1 schema for CI artifacts
@@ -211,11 +211,9 @@ def test_churn_delta_vs_full_rebuild(benchmark):
     inst.gauge("speedup_aggregate", aggregate)
     inst.count("plans.carried", carried)
     inst.count("events.structural", structural_events)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
     write_metrics_json(
         inst,
-        results_dir / "BENCH_CHURN.json",
+        results_dir(CHURN_SMOKE) / "BENCH_CHURN.json",
         bench="TAB-CHURN",
         num_nodes=NUM_NODES,
         num_commodities=NUM_COMMODITIES,

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import emit
+from conftest import emit, results_dir
 
 from repro import build_extended_network
 from repro.obs import Instrumentation, write_metrics_json
@@ -197,6 +196,7 @@ def test_iteration_core_speedup(benchmark):
         f"(40-node medium instance, {ITERATIONS} iterations, "
         f"median over {n_chunks} interleaved chunks)",
         table.render(),
+        smoke=SMOKE,
     )
 
     # machine-readable twin of the table above, in the repro.metrics/1
@@ -209,11 +209,9 @@ def test_iteration_core_speedup(benchmark):
     inst.gauge("us_per_iteration.reference", ref_us)
     inst.gauge("us_per_iteration.cached", new_us)
     inst.count("iterations", ITERATIONS)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
     write_metrics_json(
         inst,
-        results_dir / "BENCH_ITERCORE.json",
+        results_dir(SMOKE) / "BENCH_ITERCORE.json",
         bench="TAB-ITERCORE",
         iterations=ITERATIONS,
         chunk_size=chunk,

@@ -26,9 +26,8 @@ regression gate sees identical rungs locally and in CI.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, results_dir
 
 from repro.analysis import TableBuilder
 from repro.obs import Instrumentation, write_metrics_json
@@ -98,13 +97,12 @@ def test_joint_placement_vs_routing_only(benchmark):
         "TAB-PLACEMENT: joint placement loop vs routing-only"
         + (" (SMOKE)" if PLACEMENT_SMOKE else ""),
         table.render(),
+        smoke=PLACEMENT_SMOKE,
     )
 
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
     write_metrics_json(
         inst,
-        results_dir / "BENCH_PLACEMENT.json",
+        results_dir(PLACEMENT_SMOKE) / "BENCH_PLACEMENT.json",
         bench="TAB-PLACEMENT",
         scenarios=[name for name, __ in SCENARIOS],
         smoke=PLACEMENT_SMOKE,

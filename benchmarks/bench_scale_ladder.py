@@ -33,9 +33,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, results_dir
 
 from repro import build_extended_network
 from repro.analysis import TableBuilder
@@ -144,6 +143,7 @@ def test_scale_ladder(benchmark):
         f"({'smoke rungs' if SMOKE else 'full ladder'}, "
         f"{ITERATIONS} timed iterations per rung)",
         table.render(),
+        smoke=SMOKE,
     )
 
     inst = Instrumentation()
@@ -153,11 +153,9 @@ def test_scale_ladder(benchmark):
         inst.count(f"cells.rung_{n}", cells)
     inst.gauge("identity.fig40", 1.0 if fig40 else 0.0)
     inst.gauge("identity.rand120", 1.0 if rand120 else 0.0)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
     write_metrics_json(
         inst,
-        results_dir / "BENCH_SCALE.json",
+        results_dir(SMOKE) / "BENCH_SCALE.json",
         bench="TAB-SCALE-LADDER",
         rungs=[list(r) for r in RUNGS],
         iterations=ITERATIONS,

@@ -14,11 +14,8 @@ landscape, not directly by N.
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
 
-import numpy as np
 from conftest import emit
 
 from repro import (
@@ -28,32 +25,13 @@ from repro import (
     solve_lp,
 )
 from repro.analysis import TableBuilder, iterations_to_fraction
-from repro.core.marginals import evaluate_cost
 from repro.core.routing import initial_routing
-from repro.obs import Instrumentation, write_metrics_json
-from repro.parallel import ParallelBackend, ThreadBackend, resolve_backend
 from repro.simulation import DistributedGradientRun
-from repro.validate import STALENESS_DRIFT_RTOL
 from repro.scenarios import random_stream_network
 from repro.scenarios import RandomNetworkSpec
 
 SIZES = [10, 20, 40, 80]
 MAX_ITERATIONS = 3000
-
-WORKER_SWEEP = [1, 2, 4]
-PARALLEL_ITERATIONS = 120
-# the auto-selected backend must never lose to serial: that is the whole
-# point of size-aware selection (the regression this gate exists for was
-# workers=4 running at 0.09x serial)
-MIN_AUTO_SPEEDUP = 1.0
-STALENESS = 4  # relaxed-mode row: one round-trip per STALENESS + 1 iterations
-
-# CI smoke mode, matching the ITERCORE_SMOKE precedent: shared runners have
-# neither 4 dedicated cores nor a stable clock, so PARALLEL_SMOKE=1 shrinks
-# the run and keeps only the correctness half (full-trajectory bit-identity)
-PARALLEL_SMOKE = os.environ.get("PARALLEL_SMOKE", "") == "1"
-if PARALLEL_SMOKE:
-    PARALLEL_ITERATIONS = 30
 
 
 def _make_ext(num_nodes: int):
@@ -144,216 +122,3 @@ def test_scaling_with_network_size(benchmark):
     # iterations-to-95% stays within one order of magnitude across sizes
     hits = [row["hit95"] for row in rows]
     assert max(hits) <= 20 * min(hits)
-
-
-def _make_parallel_ext():
-    """The sharding-friendly instance: wide and commodity-rich.
-
-    Per-commodity work is the parallel axis, so the instance carries more
-    commodities than the TAB-SCALE sizes do; 80 physical nodes keeps each
-    commodity's per-iteration kernels heavy enough that the two IPC round
-    trips per iteration do not dominate.
-    """
-    spec = RandomNetworkSpec(
-        num_nodes=24 if PARALLEL_SMOKE else 80,
-        num_commodities=4 if PARALLEL_SMOKE else 8,
-        depth_range=(3, 4) if PARALLEL_SMOKE else (4, 6),
-        layer_width_range=(2, 3) if PARALLEL_SMOKE else (3, 5),
-    )
-    return build_extended_network(random_stream_network(spec, seed=17))
-
-
-class _BackendPipeline:
-    """One gradient pipeline (serial or any backend), advanced chunk by chunk.
-
-    ``batched=True`` advances through ``backend.advance`` -- the batched
-    bounded-staleness dispatch path -- instead of the synchronous
-    step/build_context pair, and records one iterate per chunk rather than
-    per iteration (batching is precisely the license *not* to materialise
-    every intermediate on the master).
-    """
-
-    def __init__(self, ext, config, backend=None, batched=False):
-        self.algo = GradientAlgorithm(ext, config, backend=backend)
-        self.routing = initial_routing(ext)
-        self.context = self.algo.compute_context(self.routing)
-        self.trajectory = [self.routing.phi.copy()]
-        self.batched = batched
-
-    def advance(self, iterations):
-        algo = self.algo
-        start = time.perf_counter()
-        if self.batched:
-            self.routing, self.context = algo.backend.advance(
-                self.routing, self.context, iterations
-            )
-            elapsed = time.perf_counter() - start
-            self.trajectory.append(self.routing.phi.copy())
-            return elapsed
-        for _ in range(iterations):
-            self.routing = algo.step(self.routing, context=self.context)
-            self.context = algo.compute_context(self.routing)
-            self.trajectory.append(self.routing.phi.copy())
-        return time.perf_counter() - start
-
-
-def test_parallel_worker_scaling(benchmark):
-    """TAB-PARALLEL: every execution backend vs the serial engine.
-
-    Three claims under test:
-
-    * **auto never loses** -- ``workers="auto"`` resolves through
-      :func:`repro.parallel.resolve_backend`, which picks serial on hosts or
-      instances too small to amortise pool overhead, so its speedup is
-      gated at >= 1.0x.  (The bug this bench once documented: a forced
-      process pool at 4 workers ran at 0.09x serial.)
-    * **synchronous backends change no bits** -- thread, process, and
-      whatever auto resolved to must reproduce the serial phi trajectory
-      exactly.
-    * **batched dispatch trades bounded drift for round-trips** --
-      ``staleness=4`` must beat the synchronous process backend (5x fewer
-      round-trips) while the final utility stays within the oracle's
-      documented STALENESS_DRIFT_RTOL of serial.
-
-    Timing asserts run only outside PARALLEL_SMOKE (dedicated host).
-    """
-    ext = _make_parallel_ext()
-    # record_every bounds a batch span, so the relaxed row needs it > 1;
-    # chunk is a multiple so batching engages on every advance() call
-    config = GradientConfig(eta=0.04, record_every=10)
-    chunk = 10
-    n_chunks = PARALLEL_ITERATIONS // chunk
-
-    def run_experiment():
-        auto = {w: resolve_backend("auto", w, ext=ext) for w in WORKER_SWEEP}
-        named = {
-            "thread4": ThreadBackend(workers=4),
-            "process4": ParallelBackend(workers=4),
-            f"stale{STALENESS}": ParallelBackend(workers=4, staleness=STALENESS),
-        }
-        rows = {f"auto{w}": backend for w, backend in auto.items()}
-        rows.update(named)
-        try:
-            # warm every pipeline: pool start, lazy plans, allocator churn
-            _BackendPipeline(ext, config).advance(2)
-            for name, backend in rows.items():
-                _BackendPipeline(
-                    ext, config, backend=backend,
-                    batched=name.startswith("stale"),
-                ).advance(2)
-            serial = _BackendPipeline(ext, config)
-            pipelines = {
-                name: _BackendPipeline(
-                    ext, config, backend=backend,
-                    batched=name.startswith("stale"),
-                )
-                for name, backend in rows.items()
-            }
-            # interleaved chunks: each serial/backend pair runs back to back
-            # under (nearly) the same machine conditions, so per-chunk ratios
-            # are robust to CPU frequency drift across the run
-            serial_times = []
-            row_times = {name: [] for name in pipelines}
-            for _ in range(n_chunks):
-                serial_times.append(serial.advance(chunk))
-                for name, pipeline in pipelines.items():
-                    row_times[name].append(pipeline.advance(chunk))
-            return serial, pipelines, serial_times, row_times
-        finally:
-            for backend in rows.values():
-                backend.close()
-
-    serial, pipelines, serial_times, row_times = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
-    auto_kinds = {
-        w: pipelines[f"auto{w}"].algo.backend.name for w in WORKER_SWEEP
-    }
-
-    # correctness first: every synchronous backend changes no iterate,
-    # bit for bit (auto rows included -- whatever they resolved to)
-    for name, pipeline in pipelines.items():
-        if name.startswith("stale"):
-            continue
-        assert len(serial.trajectory) == len(pipeline.trajectory)
-        for k, (a, b) in enumerate(zip(serial.trajectory, pipeline.trajectory)):
-            assert np.array_equal(a, b), f"{name}: iterate {k} diverged"
-
-    # the relaxed row: bounded drift on the final utility, never bit-drift
-    # beyond the documented staleness tolerance
-    serial_utility = evaluate_cost(
-        ext, serial.routing, config.cost_model
-    ).utility
-    stale_utility = evaluate_cost(
-        ext, pipelines[f"stale{STALENESS}"].routing, config.cost_model
-    ).utility
-    stale_drift = abs(stale_utility - serial_utility) / max(
-        abs(serial_utility), 1e-12
-    )
-    assert stale_drift <= STALENESS_DRIFT_RTOL, (
-        f"staleness={STALENESS} drifted {stale_drift:.2e} "
-        f"(bound {STALENESS_DRIFT_RTOL})"
-    )
-
-    serial_us = 1e6 * sum(serial_times) / PARALLEL_ITERATIONS
-    speedups = {
-        name: float(np.median(np.asarray(serial_times) / np.asarray(times)))
-        for name, times in row_times.items()
-    }
-    table = TableBuilder(["backend", "resolved", "us/iteration", "median speedup"])
-    table.add_row("serial", "serial", f"{serial_us:.0f}", "1.0x")
-    for name, times in row_times.items():
-        us = 1e6 * sum(times) / PARALLEL_ITERATIONS
-        resolved = (
-            auto_kinds[int(name[len("auto"):])]
-            if name.startswith("auto")
-            else pipelines[name].algo.backend.name
-        )
-        table.add_row(name, resolved, f"{us:.0f}", f"{speedups[name]:.2f}x")
-    emit(
-        "TAB-PARALLEL: execution backends vs serial "
-        f"({ext.num_commodities} commodities, {PARALLEL_ITERATIONS} iterations, "
-        f"median over {n_chunks} interleaved chunks"
-        + (", SMOKE)" if PARALLEL_SMOKE else ")"),
-        table.render(),
-    )
-
-    # machine-readable twin in the repro.metrics/1 schema for CI artifacts
-    # and the benchmark regression gate.  Naming is load-bearing:
-    # ``speedup.workers<w>`` (the auto rows) is dimensionless and *gated* by
-    # check_regression.py's --speedup-tolerance; ``us_per_iteration.*`` and
-    # ``chunk.*.seconds`` are wall-clock and exempt.
-    inst = Instrumentation()
-    for chunk_s in serial_times:
-        inst.registry.histogram("chunk.serial.seconds").observe(chunk_s)
-    inst.gauge("us_per_iteration.serial", serial_us)
-    for name, times in row_times.items():
-        for chunk_s in times:
-            inst.registry.histogram(f"chunk.{name}.seconds").observe(chunk_s)
-        inst.gauge(
-            f"us_per_iteration.{name}", 1e6 * sum(times) / PARALLEL_ITERATIONS
-        )
-    for w in WORKER_SWEEP:
-        inst.gauge(f"speedup.workers{w}", speedups[f"auto{w}"])
-    inst.count("iterations", PARALLEL_ITERATIONS)
-    inst.count("commodities", ext.num_commodities)
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    write_metrics_json(
-        inst,
-        results_dir / "BENCH_PARALLEL.json",
-        bench="TAB-PARALLEL",
-        iterations=PARALLEL_ITERATIONS,
-        chunk_size=chunk,
-        workers_sweep=WORKER_SWEEP,
-        staleness=STALENESS,
-        stale_drift=stale_drift,
-        auto_resolution={str(w): auto_kinds[w] for w in WORKER_SWEEP},
-        smoke=PARALLEL_SMOKE,
-    )
-
-    if not PARALLEL_SMOKE:
-        # the headline fix: auto-selected workers=4 must not lose to serial
-        assert speedups["auto4"] >= MIN_AUTO_SPEEDUP
-        # batching exists to cut round-trips; 5x fewer must not be slower
-        assert speedups[f"stale{STALENESS}"] >= speedups["process4"]

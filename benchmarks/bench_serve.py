@@ -18,12 +18,8 @@ Timing gates (dedicated bench host only, SERVE_SMOKE=1 drops them):
 * p99 admission-decision latency (request hits the socket -> response
   read) under 50 ms,
 
-with the paper-scale setup: 120 nodes, 12 commodities, 8 workers, 20 ms
-batch window.  The daemon is offered 8 workers through the size-aware
-backend (``workers=8, backend="auto"``); at this problem size the auto
-mode keeps the iteration serial -- sharding 12 commodities across a pool
-costs more than it saves (the regression PR 4's auto selection exists to
-prevent) -- and the worker budget engages as the model grows.
+with the paper-scale setup: 120 nodes, 12 commodities, 20 ms batch
+window.
 
 The trace is a *serving* mix: rate adaptation (demand/capacity, the
 paper's Section V case) dominates, with session churn and failures as the
@@ -35,13 +31,11 @@ that is what makes the latency bar reachable.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, results_dir
 
 from repro.analysis import TableBuilder
 from repro.obs import Instrumentation, write_metrics_json
-from repro.options import SolveOptions
 from repro.serve import ServeConfig, ServerThread
 from repro.serve.client import ServeClient, replay_trace
 from repro.scenarios import SERVE_WEIGHTS, scenario
@@ -50,7 +44,6 @@ NUM_NODES = 120
 NUM_COMMODITIES = 12
 NUM_EVENTS = 240
 
-WORKERS: object = 8
 BATCH_WINDOW = 0.020  # seconds
 # pipeline > max_batch on purpose: the spare in-flight requests mean every
 # batch hits the size cap (which returns immediately) instead of expiring
@@ -76,7 +69,6 @@ ROUNDS = 2  # timing gates take the best round (correctness holds on all)
 SERVE_SMOKE = os.environ.get("SERVE_SMOKE", "") == "1"
 if SERVE_SMOKE:
     NUM_NODES, NUM_COMMODITIES, NUM_EVENTS = 30, 6, 200
-    WORKERS = None  # serial backend; shared runners have no spare cores
     BATCH_WINDOW = 0.010
     REFINE_ITERATIONS = 4
     WARMUP_ITERATIONS = 80
@@ -99,14 +91,8 @@ def test_serve_throughput(benchmark):
         warmup_iterations=WARMUP_ITERATIONS,
         validate_epochs=True,
     )
-    options = (
-        SolveOptions(method="gradient", workers=WORKERS, backend="auto")
-        if WORKERS
-        else None
-    )
-
     def run_once():
-        thread = ServerThread(network, config=config, options=options)
+        thread = ServerThread(network, config=config)
         port = thread.start()
         try:
             with ServeClient("127.0.0.1", port) as client:
@@ -157,6 +143,7 @@ def test_serve_throughput(benchmark):
         f"{len(events)} events, window {1e3 * BATCH_WINDOW:g} ms"
         + (", SMOKE)" if SERVE_SMOKE else ")"),
         table.render(),
+        smoke=SERVE_SMOKE,
     )
 
     # machine-readable twin (repro.metrics/1) for CI artifacts and the
@@ -175,18 +162,15 @@ def test_serve_throughput(benchmark):
     inst.gauge("serve.batches", float(batches))
     inst.gauge("serve.mean_batch_size", mean_batch)
     inst.gauge("serve.final_epoch", float(report.final_epoch))
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
     write_metrics_json(
         inst,
-        results_dir / "BENCH_SERVE.json",
+        results_dir(SERVE_SMOKE) / "BENCH_SERVE.json",
         bench="TAB-SERVE",
         num_nodes=NUM_NODES,
         num_commodities=NUM_COMMODITIES,
         num_events=len(events),
         batch_window=BATCH_WINDOW,
         pipeline=PIPELINE,
-        workers=WORKERS or 1,
         smoke=SERVE_SMOKE,
     )
 
@@ -235,4 +219,5 @@ def test_serve_diurnal_soak():
         f"events/sec {report.events_per_second:.1f}  "
         f"p50 {report.p50_ms:.1f} ms  p99 {report.p99_ms:.1f} ms  "
         f"final epoch {report.final_epoch}",
+        smoke=SERVE_SMOKE,
     )

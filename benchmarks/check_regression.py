@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Benchmark regression gate: compare fresh BENCH_*.json against baselines.
 
-CI produces fresh ``benchmarks/results/BENCH_*.json`` documents (the
-``repro.metrics/1`` schema) on every run; this script compares them against
+CI's smoke runs produce fresh ``benchmarks/results/smoke/BENCH_*.json``
+documents (the ``repro.metrics/1`` schema); this script compares them against
 the committed ``benchmarks/baselines/`` copies and fails only on structural
 regressions a shared runner can reliably detect:
 
@@ -15,20 +15,20 @@ Wall-clock quantities are deliberately **not** gated: shared CI runners are
 noisy-neighbour machines, so every metric whose name mentions ``seconds`` or
 ``us_per`` is reported but never failed on.  Dedicated-host timing
 enforcement lives in the benches themselves (their smoke-mode env vars
-disable it in CI, see ITERCORE_SMOKE / PARALLEL_SMOKE).
+disable it in CI, see ITERCORE_SMOKE / CHURN_SMOKE).
 
 *Speedup ratios are the exception.*  A ``speedup.*`` gauge is dimensionless
 -- both sides of the ratio ran on the same machine seconds apart, so
-noisy-neighbour drift largely cancels -- and a parallel backend that
-silently went 10x slower than serial is exactly the regression this suite
-exists to catch (TAB-PARALLEL once sat at 0.09x without a gate noticing).
-Speedup gauges are therefore gated with their own generous
-``--speedup-tolerance`` (default 3x either way) instead of being exempt.
+noisy-neighbour drift largely cancels -- and a fast path that silently
+went 10x slower than its reference is exactly the regression this suite
+exists to catch.  Speedup gauges are therefore gated with their own
+generous ``--speedup-tolerance`` (default 3x either way) instead of being
+exempt.
 
 Usage::
 
     python benchmarks/check_regression.py \
-        --results benchmarks/results --baselines benchmarks/baselines
+        --results benchmarks/results/smoke --baselines benchmarks/baselines
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Any, Dict, List
 
 GATED_DOCUMENTS = [
     "BENCH_ITERCORE.json",
-    "BENCH_PARALLEL.json",
     "BENCH_CHURN.json",
     "BENCH_SCALE.json",
     "BENCH_SERVE.json",
@@ -60,7 +59,7 @@ def _is_timing(name: str) -> bool:
 def _is_speedup(name: str) -> bool:
     """Dimensionless ratio gauges: gated, generously.
 
-    ``speedup.*`` (serial/parallel ratios) and ``slope.*`` (the scale
+    ``speedup.*`` (fast-path/reference ratios) and ``slope.*`` (the scale
     ladder's log-log time-vs-work-cells exponent) are both ratios of
     same-machine timings, so noisy-neighbour drift cancels; neither may
     hide behind the wall-clock exemption -- a slope creeping back to 1.0
@@ -166,8 +165,9 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--results",
         type=Path,
-        default=Path(__file__).resolve().parent / "results",
-        help="directory holding the freshly produced BENCH_*.json",
+        default=Path(__file__).resolve().parent / "results" / "smoke",
+        help="directory holding the freshly produced BENCH_*.json "
+        "(the smoke runs' output directory by default)",
     )
     parser.add_argument(
         "--baselines",
@@ -187,8 +187,8 @@ def main(argv: List[str] | None = None) -> int:
         default=3.0,
         help="max allowed ratio (either direction) for dimensionless "
         "speedup.* gauges; generous because chunk medians still wobble "
-        "on shared runners, strict enough to catch a backend going 10x "
-        "slower than serial",
+        "on shared runners, strict enough to catch a fast path going 10x "
+        "slower than its reference",
     )
     parser.add_argument(
         "--documents",

@@ -28,8 +28,24 @@ def figure4_lp(figure4_ext):
     return solve_lp(figure4_ext)
 
 
-def emit(title: str, body: str) -> None:
-    """Print an experiment block and persist it under ``benchmarks/results/``.
+def results_dir(smoke: bool = False) -> Path:
+    """Where a bench writes its tables and ``BENCH_*.json`` documents.
+
+    Full-size runs write the tracked ``benchmarks/results/``.  Smoke runs
+    (a bench's ``*_SMOKE=1``) write the gitignored ``benchmarks/results/
+    smoke/``, so a local smoke run never overwrites the committed results;
+    ``check_regression.py`` compares that directory against the
+    smoke-mode baselines.
+    """
+    path = Path(__file__).resolve().parent / "results"
+    if smoke:
+        path = path / "smoke"
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def emit(title: str, body: str, smoke: bool = False) -> None:
+    """Print an experiment block and persist it under :func:`results_dir`.
 
     pytest captures stdout unless ``-s`` is given, so every block is also
     written to a file named after the experiment id (the leading token of
@@ -39,6 +55,4 @@ def emit(title: str, body: str) -> None:
     block = f"{bar}\n{title}\n{bar}\n{body}\n"
     print("\n" + block)
     slug = title.split(":")[0].strip().lower().replace(" ", "-")
-    results_dir = Path(__file__).resolve().parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / f"{slug}.txt").write_text(block)
+    (results_dir(smoke) / f"{slug}.txt").write_text(block)

@@ -97,7 +97,6 @@ _EXPORTS = {
             "RoutingError",
             "InfeasibleError",
             "ConvergenceError",
-            "ParallelExecutionError",
             "SolverError",
             "SimulationError",
         )
@@ -185,8 +184,6 @@ def solve(
     config: Optional[Union[GradientConfig, BackpressureConfig]] = None,
     instrumentation: Optional[Instrumentation] = None,
     full_result: Optional[bool] = None,
-    workers: Optional[Union[int, str]] = None,
-    backend=None,
     staleness: Optional[int] = None,
     execution: Optional[str] = None,
     validate: Union[bool, str, None] = None,
@@ -229,39 +226,11 @@ def solve(
         (trajectory + solution) instead of just the
         :class:`~repro.core.solution.Solution`.  Uniform across methods:
         ``"optimal"`` returns an :class:`OptimalResult` wrapper.
-    workers:
-        Parallel execution (``"gradient"``/``"distributed"`` only): shard
-        the per-commodity iteration work across this many workers.  An
-        integer >= 2 keeps its historical meaning (the process backend,
-        :class:`repro.parallel.ParallelBackend`); ``workers=1`` resolves to
-        the serial engine (a pool of one is pure overhead); the string
-        ``"auto"`` lets :func:`repro.parallel.auto_backend` pick
-        serial/thread/process from CPUs and problem size so small
-        instances never pay pool overhead.  Synchronous parallel iterates
-        are bit-identical to the serial default (``None``); see
-        ``docs/parallelism.md``.
-    backend:
-        Explicit backend selection: an
-        :class:`~repro.parallel.ExecutionBackend` instance (borrowed -- the
-        caller closes it) or one of ``"serial"``/``"thread"``/
-        ``"process"``/``"auto"``, combinable with ``workers=<count>``.
-        When neither ``backend`` nor ``workers`` is given, the
-        ``REPRO_BACKEND`` environment variable supplies a default name.
-        Backends built here are context-managed: pools and shared-memory
-        segments are released even when the run raises mid-iteration.
     staleness:
-        Bounded-staleness batched dispatch for the process backend
-        (``method="gradient"`` only): run up to ``staleness + 1``
-        iterations per worker round-trip with the global link-cost
-        derivative frozen inside a batch.  ``staleness=0`` (and the
-        default ``None``) keeps the synchronous bit-identical schedule;
-        ``staleness=K`` is a documented relaxed mode (drift bound in
-        docs/parallelism.md).  Batching engages between trajectory
-        records, so it needs ``config.record_every > 1`` to take effect.
-        Under ``method="distributed", execution="async"`` the same number
-        is the bounded-staleness freshness rule of the barrier-free
-        engine: a node may iterate on neighbour values up to ``staleness``
-        epochs older than its own counter (default
+        The freshness bound of the barrier-free engine
+        (``method="distributed", execution="async"`` only): a node may
+        iterate on neighbour values up to ``staleness`` epochs older than
+        its own counter (default
         :data:`repro.simulation.async_engine.DEFAULT_STALENESS`).
     execution:
         Execution model for ``method="distributed"``: ``"sync"`` (and the
@@ -295,8 +264,6 @@ def solve(
             ("config", config),
             ("instrumentation", instrumentation),
             ("full_result", full_result),
-            ("workers", workers),
-            ("backend", backend),
             ("staleness", staleness),
             ("execution", execution),
             ("validate", validate),
@@ -320,14 +287,14 @@ def solve(
     return _solve_impl(
         stream_network, opts.method, opts.config, opts.instrumentation,
         opts.full_result, legacy,
-        workers=opts.workers, backend=opts.backend, staleness=opts.staleness,
-        execution=opts.execution, validate=opts.validate,
+        staleness=opts.staleness, execution=opts.execution,
+        validate=opts.validate,
     )
 
 
 def _solve_impl(
     stream_network, method, config, instrumentation, full_result, legacy,
-    workers=None, backend=None, staleness=None, execution=None, validate=False,
+    staleness=None, execution=None, validate=False,
 ):
     if method not in SOLVE_METHODS:
         raise ValueError(
@@ -339,13 +306,6 @@ def _solve_impl(
     inst = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
     ext = build_extended_network(stream_network)
 
-    if method not in ("gradient", "distributed") and (
-        workers is not None or backend is not None or staleness is not None
-    ):
-        raise TypeError(
-            f"workers=/backend=/staleness= apply only to the "
-            f"gradient/distributed methods, not {method!r}"
-        )
     if execution is not None:
         if execution not in ("sync", "async"):
             raise ValueError(
@@ -357,11 +317,10 @@ def _solve_impl(
                 f"not {method!r}"
             )
     asynchronous = execution == "async"
-    if staleness and method != "gradient" and not asynchronous:
+    if staleness is not None and not asynchronous:
         raise TypeError(
-            "staleness= (batched dispatch) applies only to method='gradient' "
-            "or to method='distributed' with execution='async'; the "
-            "synchronous distributed runner proceeds round by round"
+            "staleness= applies only to method='distributed' with "
+            "execution='async'; the other engines proceed in lockstep"
         )
 
     if method == "optimal":
@@ -384,52 +343,32 @@ def _solve_impl(
         )
     else:
         cfg = _coerce_config(method, config, legacy)
-        from contextlib import nullcontext
+        if method == "gradient":
+            from repro.core.gradient import GradientAlgorithm
 
-        from repro.core.gradient import GradientAlgorithm
-        from repro.parallel import resolve_backend
+            result = GradientAlgorithm(ext, cfg).run(
+                instrumentation=instrumentation
+            )
+        elif asynchronous:
+            from repro.simulation.async_engine import (
+                DEFAULT_STALENESS,
+                AsyncGradientRun,
+            )
 
-        # under execution="async", staleness parameterizes the freshness
-        # rule of the event-driven engine, not the backend's batched
-        # dispatch -- the snapshot-evaluation backend stays synchronous
-        resolved = resolve_backend(
-            backend,
-            workers,
-            ext=ext,
-            staleness=None if asynchronous else staleness,
-            instrumentation=inst,
-        )
-        # a caller-supplied backend instance is borrowed (the caller closes
-        # it); anything resolve_backend built here is owned, and the with
-        # block releases its pool and shared-memory segments even when the
-        # run raises mid-iteration
-        scope = resolved if resolved is not backend else nullcontext(resolved)
-        with scope:
-            if method == "gradient":
-                result = GradientAlgorithm(ext, cfg, backend=resolved).run(
-                    instrumentation=instrumentation
-                )
-            elif asynchronous:
-                from repro.simulation.async_engine import (
-                    DEFAULT_STALENESS,
-                    AsyncGradientRun,
-                )
+            result = AsyncGradientRun(
+                ext,
+                cfg,
+                staleness=(
+                    staleness if staleness is not None else DEFAULT_STALENESS
+                ),
+                instrumentation=instrumentation,
+            ).run(cfg.max_iterations, record_every=cfg.record_every)
+        else:  # distributed, synchronous phase barriers
+            from repro.simulation.runner import DistributedGradientRun
 
-                result = AsyncGradientRun(
-                    ext,
-                    cfg,
-                    staleness=(
-                        staleness if staleness is not None else DEFAULT_STALENESS
-                    ),
-                    instrumentation=instrumentation,
-                    backend=resolved,
-                ).run(cfg.max_iterations, record_every=cfg.record_every)
-            else:  # distributed, synchronous phase barriers
-                from repro.simulation.runner import DistributedGradientRun
-
-                result = DistributedGradientRun(
-                    ext, cfg, instrumentation=instrumentation, backend=resolved
-                ).run(cfg.max_iterations, record_every=cfg.record_every)
+            result = DistributedGradientRun(
+                ext, cfg, instrumentation=instrumentation
+            ).run(cfg.max_iterations, record_every=cfg.record_every)
     if validate:
         from repro.validate import attach_validation
 

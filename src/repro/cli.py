@@ -19,15 +19,13 @@ Examples
     python -m repro info model.json --json
     python -m repro solve model.json --method gradient --step-size 0.04 -o sol.json
     python -m repro solve model.json --metrics-out m.json --trace-out t.json
-    python -m repro solve model.json --workers 4          # process-parallel
-    python -m repro solve model.json --workers auto       # size-aware backend
-    python -m repro solve model.json --backend thread --workers 2
+    python -m repro solve model.json --method distributed --execution async --staleness 2
     python -m repro solve model.json --validate           # attach the audit
-    python -m repro profile model.json --max-iterations 2000 --workers 2
+    python -m repro profile model.json --max-iterations 2000
     python -m repro validate model.json --method optimal --strict
     python -m repro validate --self-test                  # fault injection
     python -m repro figure4 --seed 7
-    python -m repro serve model.json --port 7471 --workers 4
+    python -m repro serve model.json --port 7471
     python -m repro serve --nodes 120 --commodities 12 --batch-window 0.02
     python -m repro serve --scenario serve-smoke-30
     python -m repro scenario list --json
@@ -127,18 +125,6 @@ def _make_config(args: argparse.Namespace):
     return GradientConfig(**kwargs)
 
 
-def _workers_arg(value: str):
-    """``--workers`` accepts an integer count or the string ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--workers takes an integer or 'auto', got {value!r}"
-        )
-
-
 def _model_label(args: argparse.Namespace) -> str:
     """What the output documents call the input model."""
     if getattr(args, "scenario", None) is not None:
@@ -174,8 +160,6 @@ def _instrumented_solve(args: argparse.Namespace, instrumentation, validate=Fals
         config=_make_config(args),
         instrumentation=instrumentation,
         full_result=True,
-        workers=args.workers,
-        backend=args.backend,
         staleness=args.staleness,
         execution=args.execution,
         validate=validate,
@@ -460,11 +444,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         min_admit_rate=args.min_admit_rate,
     )
     options = SolveOptions(
-        method="gradient",
-        config=GradientConfig(eta=args.step_size),
-        workers=args.workers,
-        backend=args.backend,
-        staleness=args.staleness,
+        method="gradient", config=GradientConfig(eta=args.step_size)
     )
     inst = Instrumentation() if args.metrics_out else None
 
@@ -535,38 +515,20 @@ def _add_solver_options(
     parser.add_argument("--adaptive", action="store_true", help="adaptive step scale")
     parser.add_argument("--max-iterations", type=int, default=20000)
     parser.add_argument(
-        "--workers",
-        type=_workers_arg,
+        "--execution",
+        choices=["sync", "async"],
         default=None,
-        metavar="N|auto",
-        help="shard per-commodity work across N workers, or 'auto' to pick "
-        "a backend from CPUs and problem size (gradient/distributed; "
-        "synchronous iterates stay bit-identical to serial)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["serial", "thread", "process", "auto"],
-        default=None,
-        help="execution backend (default: serial, or $REPRO_BACKEND); "
-        "combinable with --workers",
+        help="distributed execution model: 'sync' phase barriers (default) "
+        "or the barrier-free 'async' event-driven engine "
+        "(method=distributed only; see docs/async.md)",
     )
     parser.add_argument(
         "--staleness",
         type=int,
         default=None,
         metavar="K",
-        help="process-backend batched dispatch: up to K+1 iterations per "
-        "worker round-trip with the global derivative held stale "
-        "(0 = synchronous bit-identical mode; needs --record-every > 1)",
-    )
-    parser.add_argument(
-        "--execution",
-        choices=["sync", "async"],
-        default=None,
-        help="distributed execution model: 'sync' phase barriers (default) "
-        "or the barrier-free 'async' event-driven engine, where "
-        "--staleness bounds how stale a node's neighbour view may be "
-        "(method=distributed only; see docs/async.md)",
+        help="the async engine's freshness bound: how many epochs a node's "
+        "neighbour view may lag (--execution async only)",
     )
     parser.add_argument(
         "--record-every",
@@ -741,11 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="revert arrivals whose admitted rate stays below RATE",
     )
     srv.add_argument("--step-size", type=float, default=0.04)
-    srv.add_argument("--workers", type=_workers_arg, default=None, metavar="N|auto")
-    srv.add_argument(
-        "--backend", choices=["serial", "thread", "process", "auto"], default=None
-    )
-    srv.add_argument("--staleness", type=int, default=None, metavar="K")
     srv.add_argument(
         "--metrics-out", default=None,
         help="write the repro.metrics/1 document here on shutdown",

@@ -161,15 +161,13 @@ def compute_all_blocked_sets(
     """
     state = ModelState.of(ext)
     blocked = np.zeros(state.num_cells, dtype=bool)
-    state.blocked_sets_block(
+    state.blocked_sets(
         blocked,
         routing.phi.reshape(-1),
         traffic.reshape(-1),
         dadr.reshape(-1),
         delta,
         eta,
-        0,
-        ext.num_commodities,
         phi_zero_tol=phi_zero_tol,
         phi_positive_tol=phi_positive_tol,
     )

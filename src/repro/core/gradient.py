@@ -359,28 +359,22 @@ class GradientAlgorithm:
         self,
         ext: ExtendedNetwork,
         config: Optional[GradientConfig] = None,
-        backend=None,
     ):
         self.ext = ext
         self.config = config or GradientConfig()
-        if backend is None:
-            # imported lazily: repro.parallel imports this module's kernels
-            from repro.parallel.backend import SerialBackend
+        # imported lazily: repro.parallel.backend imports this module's kernels
+        from repro.parallel.backend import SerialBackend
 
-            backend = SerialBackend()
-        self.backend = backend
-        backend.bind(self.ext, self.config)
+        self.backend = SerialBackend(ext, self.config)
 
     def refresh(self, applied) -> None:
         """Advance the bound model one epoch.
 
-        ``applied`` is a :class:`repro.core.delta.AppliedDelta`.  The
-        execution backend republishes only what the delta dirtied -- in
-        particular a :class:`repro.parallel.ParallelBackend` keeps its
-        worker pool alive across the refresh.
+        ``applied`` is a :class:`repro.core.delta.AppliedDelta`; the engine
+        keeps its configuration and iterates on the delta's network.
         """
         self.ext = applied.ext
-        self.backend.refresh(applied)
+        self.backend.ext = applied.ext
 
     # -- one application of Gamma ------------------------------------------------
     def compute_context(
@@ -403,14 +397,10 @@ class GradientAlgorithm:
         precomputed :class:`IterationContext` of ``routing``; without it one
         is built here (the run loop always passes the cached one, so each
         iteration solves the flow balance exactly once).
-        ``instrumentation`` times the backend's phases; it is read-only and
-        never changes an iterate.
-
-        The actual work happens in the configured execution backend
-        (:class:`repro.parallel.SerialBackend` by default, or a
-        :class:`repro.parallel.ParallelBackend` sharding the per-commodity
-        kernels across worker processes).  Every backend produces
-        bit-identical iterates.
+        ``instrumentation`` times the blocking and ``Gamma`` phases; it is
+        read-only and never changes an iterate.  The work runs in
+        :class:`repro.parallel.SerialBackend`, one pass over the model
+        core's allowed cells.
         """
         return self.backend.step(
             routing, eta=eta, context=context, instrumentation=instrumentation
@@ -517,38 +507,19 @@ class GradientAlgorithm:
         eta_floor = cfg.eta * cfg.eta_min_factor
         eta_ceiling = cfg.eta * cfg.eta_max_factor
 
-        # A backend with staleness=K may run up to K+1 iterations per
-        # dispatch.  The span never crosses a record_every boundary, so the
-        # recorded trajectory keeps its exact serial cadence; divergence,
-        # adaptive-eta, and convergence checks then run once per dispatch
-        # (per iteration in the default synchronous case, where span == 1
-        # and this loop performs the identical calls in the identical
-        # order as the historical per-iteration loop).
-        batch = 1 + max(0, int(getattr(self.backend, "staleness", 0)))
-        iteration = 0
-        while iteration < cfg.max_iterations:
-            span = min(batch, cfg.max_iterations - iteration)
-            if span > 1:
-                span = min(span, cfg.record_every - iteration % cfg.record_every)
-            iteration += span
-            with inst.phase("iteration", iteration=iteration, span=span):
-                if span == 1:
-                    routing = self.step(
-                        routing, eta=eta, context=context,
-                        instrumentation=instrumentation,
-                    )
-                    # release the spent state's arrays before allocating the
-                    # next ones, so the allocator reuses their memory instead
-                    # of growing (and trimming) the heap every iteration
-                    context = None
-                    context = self.compute_context(
-                        routing, instrumentation=instrumentation
-                    )
-                else:
-                    routing, context = self.backend.advance(
-                        routing, context, span, eta=eta,
-                        instrumentation=instrumentation,
-                    )
+        for iteration in range(1, cfg.max_iterations + 1):
+            with inst.phase("iteration", iteration=iteration):
+                routing = self.step(
+                    routing, eta=eta, context=context,
+                    instrumentation=instrumentation,
+                )
+                # release the spent state's arrays before allocating the
+                # next ones, so the allocator reuses their memory instead
+                # of growing (and trimming) the heap every iteration
+                context = None
+                context = self.compute_context(
+                    routing, instrumentation=instrumentation
+                )
                 iterations_done = iteration
 
             cost = context.cost

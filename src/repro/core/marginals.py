@@ -338,21 +338,17 @@ def optimality_residual(
     :class:`repro.core.context.IterationContext` for ``routing`` so the flow
     balance and the marginal wave are not solved again.
     """
+    delta_table = None
     if context is not None and context.dadf is not None:
         traffic = context.traffic
         dadf = context.dadf
+        delta_table = ModelState.of(ext).edge_marginals_dense(context.delta)
     else:
         if cost_model is None:
             cost_model = CostModel()
         traffic = solve_traffic(ext, routing)
         edge_usage, node_usage = resource_usage(ext, routing, traffic)
         dadf = link_cost_derivative(ext, cost_model, edge_usage, node_usage)
-
-    # a parallel-backend context carries dadf but not the derivative
-    # arrays; fall through to the per-commodity wave then
-    delta_table = None
-    if context is not None and context.delta is not None:
-        delta_table = ModelState.of(ext).edge_marginals_dense(context.delta)
     per_equal: List[float] = []
     per_sufficient: List[float] = []
     for view in ext.commodities:

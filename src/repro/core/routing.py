@@ -34,7 +34,6 @@ __all__ = [
     "uniform_routing",
     "validate_routing",
     "external_inputs",
-    "external_inputs_rows",
     "solve_traffic",
     "solve_traffic_scalar",
     "commodity_edge_flows",
@@ -154,16 +153,6 @@ def external_inputs(ext: ExtendedNetwork) -> np.ndarray:
         )
         ext._external_inputs_template = template
     return template.copy()
-
-
-def external_inputs_rows(ext: ExtendedNetwork, lo: int, hi: int) -> np.ndarray:
-    """Rows ``[lo, hi)`` of :func:`external_inputs` as a read-only view.
-
-    Sharded workers seed their commodity rows from this without copying the
-    whole ``(J, V)`` template every dispatch.
-    """
-    external_inputs(ext)  # ensure the cached template exists
-    return ext._external_inputs_template[lo:hi]
 
 
 def solve_traffic(ext: ExtendedNetwork, routing: RoutingState) -> np.ndarray:

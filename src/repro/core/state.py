@@ -12,9 +12,7 @@ Cell-space layout
 The cell list holds every allowed ``(j, e)`` ordered by ``(j, e)``;
 node ``j*V + v`` and edge ``j*E + e`` are the flat ids of the commodity
 rows.  Per-cell vectors of length ``P`` -- the edge marginals ``delta`` of
-eq. (15), the blocked mask of eq. (18) -- live in this order, and a
-commodity range ``[lo, hi)`` is the contiguous slice
-``cell_starts[lo]:cell_starts[hi]``.
+eq. (15), the blocked mask of eq. (18) -- live in this order.
 
 * **Forward wave** (eq. (3)).  Edges are levelled by the longest-path
   depth of their head, so every in-edge of a node lands in one level and
@@ -57,28 +55,17 @@ sum of one term, bitwise, including for ``-0.0``.
 
 ``GradientAlgorithm.step_reference`` and the property tests pin all of
 this against the scalar functions, byte for byte.
-
-Sharding
---------
-
-Because all hot arrays are commodity-major and levels store their rows
-sorted by flat node id (hence by commodity), a parallel shard over
-commodities ``[lo, hi)`` is a *contiguous row-block*: :meth:`ModelState.
-block` precomputes the level slices once and the block kernels run the
-same sweeps restricted to the block.  The serial engine runs the
-full-width block ``[0, J)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.transform import CommodityGammaPlan, ExtendedNetwork
 
-__all__ = ["ModelState", "Wave", "WaveLevel", "BlockPlans", "row_sums"]
+__all__ = ["ModelState", "Wave", "WaveLevel", "row_sums"]
 
 
 class WaveLevel(NamedTuple):
@@ -104,14 +91,13 @@ class WaveLevel(NamedTuple):
 
 
 class Wave(NamedTuple):
-    """One direction of a wave over a row-block: its levels in order, and
-    their entries concatenated in wave order.
+    """One direction of a wave: its levels in order, and their entries
+    concatenated in wave order.
 
     Per-iteration gathers the sweep needs for every entry (``phi``,
     ``dadf * c``) run once over these arrays; each level then reads its
     ``[start, stop)`` slice.  ``cell_pos`` is each entry's position in the
-    cell list and ``cell_local`` the same relative to the block's first
-    cell.
+    cell list.
     """
 
     levels: Tuple[WaveLevel, ...]
@@ -122,29 +108,9 @@ class Wave(NamedTuple):
     gains: np.ndarray  # (p,) gain[j, e]
     costs: np.ndarray  # (p,) cost[j, e]
     cell_pos: np.ndarray  # (p,) position in the cell list
-    cell_local: np.ndarray  # (p,) cell_pos minus the block's first cell
 
 
 _ENTRY_FIELDS = ("edges", "raw", "tails", "heads", "gains", "costs", "cell_pos")
-
-
-@dataclass(frozen=True)
-class BlockPlans:
-    """Precomputed restriction of a :class:`ModelState` to rows ``[lo, hi)``.
-
-    ``cell_level`` maps each of the block's cells to the index of its
-    reverse level; ``gamma_plan`` is the contiguous row-block of the merged
-    Gamma plan (``None`` when the block has no branch nodes).
-    """
-
-    lo: int
-    hi: int
-    forward: Wave
-    reverse: Wave
-    cell_lo: int
-    cell_hi: int
-    cell_level: np.ndarray  # (cell_hi - cell_lo,)
-    gamma_plan: Optional[CommodityGammaPlan]
 
 
 def _level_split(keys: np.ndarray) -> List[Tuple[int, int]]:
@@ -174,7 +140,7 @@ def _row_sums(level: WaveLevel, contrib: np.ndarray) -> np.ndarray:
 
 
 def _make_wave(
-    levels: List[Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]], c0: int
+    levels: List[Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]],
 ) -> Wave:
     """A :class:`Wave` from ``(nodes, row of each entry, entry arrays)``
     per level, each level's entries already stored row by row."""
@@ -216,15 +182,14 @@ def _make_wave(
         gains=cat["gains"],
         costs=cat["costs"],
         cell_pos=cat["cell_pos"],
-        cell_local=cat["cell_pos"] - c0,
     )
 
 
 def _cell_levels(wave: Wave, num_cells: int) -> np.ndarray:
-    """The index of the level holding each of the block's cells (-1: none)."""
+    """The index of the level holding each cell (-1: none)."""
     levels = np.full(num_cells, -1, dtype=np.intp)
     for b, level in enumerate(wave.levels):
-        levels[wave.cell_local[level.start : level.stop]] = b
+        levels[wave.cell_pos[level.start : level.stop]] = b
     return levels
 
 
@@ -268,9 +233,6 @@ class ModelState:
         self.cell_g_head = np.ascontiguousarray(
             ext.node_potentials[cell_j, ext.edge_head[raw_cells]]
         )
-        self.cell_starts = np.concatenate(([0], np.cumsum(cell_counts))).astype(
-            np.intp
-        )
         self.num_cells = int(self.cell_edges.size)
 
         # position of a flat edge in the cell list
@@ -303,7 +265,7 @@ class ModelState:
 
         def build_wave(rows: List[Tuple[np.ndarray, ...]], by_head: bool) -> Wave:
             if not rows:
-                return _make_wave([], 0)
+                return _make_wave([])
             key, j_col, pos, edges, tails, heads, gains, costs = (
                 np.concatenate([r[k] for r in rows]) for k in range(8)
             )
@@ -333,21 +295,18 @@ class ModelState:
                         ),
                     )
                 )
-            return _make_wave(levels, 0)
+            return _make_wave(levels)
 
-        forward = build_wave(fwd_rows, by_head=True)
-        reverse = build_wave(rev_rows, by_head=False)
-        cell_level = _cell_levels(reverse, self.num_cells)
-        if (cell_level < 0).any():
+        self.forward = build_wave(fwd_rows, by_head=True)
+        self.reverse = build_wave(rev_rows, by_head=False)
+        # each cell's reverse level, where the blocking flood may start
+        self.cell_level = _cell_levels(self.reverse, self.num_cells)
+        if (self.cell_level < 0).any():
             # the reverse wave must emit delta on every allowed cell
             raise ValueError("flow plans do not cover every allowed cell")
 
         # -- Gamma: every commodity's branch-node rows, flat-indexed -------------
         gamma = ext.gamma_plans
-        gamma_counts = np.array([g.nodes.size for g in gamma], dtype=np.intp)
-        self.gamma_starts = np.concatenate(([0], np.cumsum(gamma_counts))).astype(
-            np.intp
-        )
         empty = [np.empty(0, dtype=np.intp)]
         targets = np.concatenate(
             [g.targets + j * E for j, g in enumerate(gamma)] or empty
@@ -362,20 +321,6 @@ class ModelState:
             cells=cell_lookup[targets],
         )
 
-        full = BlockPlans(
-            lo=0,
-            hi=J,
-            forward=forward,
-            reverse=reverse,
-            cell_lo=0,
-            cell_hi=self.num_cells,
-            cell_level=cell_level,
-            gamma_plan=self.gamma_plan if self.gamma_plan.nodes.size else None,
-        )
-        self.forward_levels = forward.levels
-        self.reverse_levels = reverse.levels
-        self._blocks: Dict[Tuple[int, int], BlockPlans] = {(0, J): full}
-
     # -- construction / caching ----------------------------------------------------
     @classmethod
     def of(cls, ext: ExtendedNetwork) -> "ModelState":
@@ -386,20 +331,26 @@ class ModelState:
             ext._model_state = state
         return state
 
-    # -- full-width kernels ----------------------------------------------------------
+    # -- kernels ----------------------------------------------------------------------
     def solve_traffic_into(self, t_flat: np.ndarray, phi_flat: np.ndarray) -> None:
         """Eq. (3) forward wave over ``t_flat`` (pre-filled with external
         inputs), one row sum per depth level."""
-        self.solve_traffic_block(t_flat, phi_flat, 0, self.num_commodities)
+        wave = self.forward
+        phi = phi_flat[wave.edges]
+        for level in wave.levels:
+            contrib = t_flat[level.tails]
+            contrib *= phi[level.start : level.stop]
+            contrib *= level.gains
+            t_flat[level.nodes] = _row_sums(level, contrib)
 
     def resource_usage(
         self, phi_flat: np.ndarray, t_flat: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Eqs. (4)-(5) from the allowed cells only: ``O(P + E)``, not
-        ``O(J * E)``."""
-        edge_usage = self.usage_partial_block(
-            phi_flat, t_flat, 0, self.num_commodities
-        )
+        ``O(J * E)``.  Each edge sums its cells in ascending ``j``."""
+        contrib = t_flat[self.cell_tails] * phi_flat[self.cell_edges]
+        contrib *= self.cell_cost
+        edge_usage = row_sums(self.cell_raw, contrib, self.num_edges)
         return edge_usage, self.node_usage(edge_usage)
 
     def node_usage(self, edge_usage: np.ndarray) -> np.ndarray:
@@ -413,11 +364,23 @@ class ModelState:
         dadf: np.ndarray,
         delta: Optional[np.ndarray] = None,
     ) -> None:
-        """Eq. (9) reverse wave into ``dadr_flat`` (pre-zeroed); with
-        ``delta`` (a ``(P,)`` buffer) it also stores eq. (15) per cell."""
-        self.marginal_costs_block(
-            dadr_flat, phi_flat, dadf, 0, self.num_commodities, delta
-        )
+        """Eq. (9) reverse wave into ``dadr_flat`` (pre-zeroed).
+
+        Each entry's bracket ``dadf * c + beta * dA/dr_head`` is eq. (15)'s
+        ``delta`` on its cell; with a ``(P,)`` ``delta`` buffer the wave
+        stores it there, covering every cell.
+        """
+        wave = self.reverse
+        phi = phi_flat[wave.edges]
+        bracket = dadf[wave.raw] * wave.costs
+        for level in wave.levels:
+            # complete the level's brackets now that their heads are final
+            part = bracket[level.start : level.stop]
+            part += level.gains * dadr_flat[level.heads]
+            contrib = phi[level.start : level.stop] * part
+            dadr_flat[level.nodes] = _row_sums(level, contrib)
+        if delta is not None:
+            delta[wave.cell_pos] = bracket
 
     def marginal_costs(
         self,
@@ -440,120 +403,7 @@ class ModelState:
         table.reshape(-1)[self.cell_edges] = delta
         return table
 
-    # -- row-block kernels (shards of the parallel backends) --------------------------
-    def block(self, lo: int, hi: int) -> BlockPlans:
-        """The cached restriction of every plan to commodities ``[lo, hi)``."""
-        key = (lo, hi)
-        plans = self._blocks.get(key)
-        if plans is not None:
-            return plans
-        V = self.num_nodes
-        c0, c1 = int(self.cell_starts[lo]), int(self.cell_starts[hi])
-        node_lo, node_hi = lo * V, hi * V
-
-        def slice_wave(wave: Wave) -> Wave:
-            levels = []
-            for lv in wave.levels:
-                r0, r1 = np.searchsorted(lv.nodes, [node_lo, node_hi])
-                if r0 == r1:
-                    continue
-                if lv.indptr is None:
-                    s, e = r0, r1
-                    rows = np.arange(r1 - r0, dtype=np.intp)
-                else:
-                    s, e = int(lv.indptr[r0]), int(lv.indptr[r1])
-                    rows = np.repeat(
-                        np.arange(r1 - r0, dtype=np.intp),
-                        np.diff(lv.indptr[r0 : r1 + 1]),
-                    )
-                span = slice(lv.start + s, lv.start + e)
-                entries = {name: getattr(wave, name)[span] for name in _ENTRY_FIELDS}
-                levels.append((lv.nodes[r0:r1], rows, entries))
-            return _make_wave(levels, c0)
-
-        reverse = slice_wave(self.block(0, self.num_commodities).reverse)
-
-        gamma_plan: Optional[CommodityGammaPlan] = None
-        g0, g1 = int(self.gamma_starts[lo]), int(self.gamma_starts[hi])
-        if g1 > g0:
-            merged = self.gamma_plan
-            k0, k1 = int(merged.indptr[g0]), int(merged.indptr[g1])
-            gamma_plan = CommodityGammaPlan(
-                nodes=merged.nodes[g0:g1],
-                targets=merged.targets[k0:k1],
-                indptr=merged.indptr[g0 : g1 + 1] - k0,
-                cells=merged.cells[k0:k1],
-            )
-
-        plans = BlockPlans(
-            lo=lo,
-            hi=hi,
-            forward=slice_wave(self.block(0, self.num_commodities).forward),
-            reverse=reverse,
-            cell_lo=c0,
-            cell_hi=c1,
-            cell_level=_cell_levels(reverse, c1 - c0),
-            gamma_plan=gamma_plan,
-        )
-        self._blocks[key] = plans
-        return plans
-
-    def solve_traffic_block(
-        self, t_flat: np.ndarray, phi_flat: np.ndarray, lo: int, hi: int
-    ) -> None:
-        """Forward wave restricted to rows ``[lo, hi)`` (rows pre-filled
-        with external inputs).  Reads and writes only the block's rows."""
-        wave = self.block(lo, hi).forward
-        phi = phi_flat[wave.edges]
-        for level in wave.levels:
-            contrib = t_flat[level.tails]
-            contrib *= phi[level.start : level.stop]
-            contrib *= level.gains
-            t_flat[level.nodes] = _row_sums(level, contrib)
-
-    def usage_partial_block(
-        self, phi_flat: np.ndarray, t_flat: np.ndarray, lo: int, hi: int
-    ) -> np.ndarray:
-        """The block's ``(E,)`` usage partial sum.
-
-        Each edge sums its cells in ascending ``j``; summing shard partials
-        in ascending shard order reproduces the full sum's association
-        exactly (contiguous sub-sums of a left-to-right sequential sum).
-        """
-        plans = self.block(lo, hi)
-        c0, c1 = plans.cell_lo, plans.cell_hi
-        contrib = t_flat[self.cell_tails[c0:c1]] * phi_flat[self.cell_edges[c0:c1]]
-        contrib *= self.cell_cost[c0:c1]
-        return row_sums(self.cell_raw[c0:c1], contrib, self.num_edges)
-
-    def marginal_costs_block(
-        self,
-        dadr_flat: np.ndarray,
-        phi_flat: np.ndarray,
-        dadf: np.ndarray,
-        lo: int,
-        hi: int,
-        delta: Optional[np.ndarray] = None,
-    ) -> None:
-        """Reverse wave restricted to rows ``[lo, hi)`` (rows pre-zeroed).
-
-        Each entry's bracket ``dadf * c + beta * dA/dr_head`` is eq. (15)'s
-        ``delta`` on its cell; with a ``(P,)`` ``delta`` buffer the wave
-        stores it there, covering every cell of the block.
-        """
-        wave = self.block(lo, hi).reverse
-        phi = phi_flat[wave.edges]
-        bracket = dadf[wave.raw] * wave.costs
-        for level in wave.levels:
-            # complete the level's brackets now that their heads are final
-            part = bracket[level.start : level.stop]
-            part += level.gains * dadr_flat[level.heads]
-            contrib = phi[level.start : level.stop] * part
-            dadr_flat[level.nodes] = _row_sums(level, contrib)
-        if delta is not None:
-            delta[wave.cell_pos] = bracket
-
-    def blocked_sets_block(
+    def blocked_sets(
         self,
         blocked: np.ndarray,
         phi_flat: np.ndarray,
@@ -561,38 +411,28 @@ class ModelState:
         dadr_flat: np.ndarray,
         delta: np.ndarray,
         eta: float,
-        lo: int,
-        hi: int,
         phi_zero_tol: float = 1e-12,
         phi_positive_tol: float = 1e-12,
     ) -> bool:
-        """Eq. (18) blocked sets for rows ``[lo, hi)``; returns whether
-        anything is blocked.
+        """Eq. (18) blocked sets; returns whether anything is blocked.
 
-        ``blocked`` and ``delta`` are cell-space ``(P,)`` vectors; the
-        block's cells of ``blocked`` are written (all of them, when
-        anything is blocked).  Identical comparisons to
-        :func:`repro.core.blocking.compute_blocked_sets_scalar`; the tag
-        flood is a boolean OR per reverse-level row, so its order is free.
+        ``blocked`` and ``delta`` are cell-space ``(P,)`` vectors;
+        ``blocked`` is written in full when anything is blocked.  Identical
+        comparisons to :func:`repro.core.blocking.compute_blocked_sets_scalar`;
+        the tag flood is a boolean OR per reverse-level row, so its order is
+        free.
         """
-        plans = self.block(lo, hi)
-        c0, c1 = plans.cell_lo, plans.cell_hi
-        if c1 == c0:
+        if self.num_cells == 0:
             return False
-        ft = self.cell_tails[c0:c1]
-        fh = self.cell_heads[c0:c1]
-        frac = phi_flat[self.cell_edges[c0:c1]]
+        ft = self.cell_tails
+        fh = self.cell_heads
+        frac = phi_flat[self.cell_edges]
         t_tail = t_flat[ft]
         dadr_tail = dadr_flat[ft]
         carries = frac > phi_positive_tol
-        uphill = (
-            self.cell_g_tail[c0:c1] * dadr_tail
-            <= self.cell_g_head[c0:c1] * dadr_flat[fh]
-        )
+        uphill = self.cell_g_tail * dadr_tail <= self.cell_g_head * dadr_flat[fh]
         movable = t_tail > 0.0
-        threshold = (eta / np.where(movable, t_tail, 1.0)) * (
-            delta[c0:c1] - dadr_tail
-        )
+        threshold = (eta / np.where(movable, t_tail, 1.0)) * (delta - dadr_tail)
         improper = carries & uphill & movable & (frac >= threshold)
         if not improper.any():
             # no improper link anywhere => no tag can flood => nothing blocked
@@ -600,10 +440,10 @@ class ModelState:
 
         # tags are all-False until the first level holding an improper edge,
         # so every earlier level's flood pass is a no-op; start there
-        first = int(plans.cell_level[improper].min())
-        wave = plans.reverse
-        improper = improper[wave.cell_local]
-        carries = carries[wave.cell_local]
+        first = int(self.cell_level[improper].min())
+        wave = self.reverse
+        improper = improper[wave.cell_pos]
+        carries = carries[wave.cell_pos]
         tags = np.zeros(self.num_commodities * self.num_nodes, dtype=bool)
         for level in wave.levels[first:]:
             at = slice(level.start, level.stop)
@@ -614,5 +454,5 @@ class ModelState:
             else:
                 tags[level.nodes] = np.logical_or.reduceat(contrib, level.starts)
         cells = (frac <= phi_zero_tol) & tags[fh]
-        blocked[c0:c1] = cells
+        blocked[:] = cells
         return bool(cells.any())

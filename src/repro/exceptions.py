@@ -40,10 +40,6 @@ class SolverError(StreamFlowError):
     """A centralized solver (LP / convex) failed or returned an invalid result."""
 
 
-class ParallelExecutionError(StreamFlowError):
-    """The process-parallel backend failed (worker crash, broken pool, misuse)."""
-
-
 class SimulationError(StreamFlowError):
     """The message-passing simulation reached an inconsistent state."""
 

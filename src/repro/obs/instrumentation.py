@@ -78,22 +78,6 @@ class Instrumentation:
         self.events.add("phase", name, ts=start, dur=duration, **data)
         self.registry.histogram(f"phase.{name}.seconds").observe(duration)
 
-    def phase_observation(
-        self, name: str, duration: float, *, worker: Optional[int] = None, **data: Any
-    ) -> None:
-        """Record an already-measured phase duration (no ``with`` block).
-
-        The parallel backend uses this for timings measured *inside* worker
-        processes: the worker clocks its shard and ships the float back, and
-        the master records it here under the same ``phase.<name>.seconds``
-        naming scheme so :func:`repro.analysis.report.timing_table` (and the
-        CLI ``profile`` command) render per-worker rows automatically.
-        """
-        if worker is not None:
-            data.setdefault("worker", worker)
-        self.events.add("phase", name, ts=self.now(), dur=duration, **data)
-        self.registry.histogram(f"phase.{name}.seconds").observe(duration)
-
     def iteration(self, iteration: int, **data: Any) -> None:
         self.events.add("iteration", "iteration", ts=self.now(), iteration=iteration, **data)
         self.registry.counter("iterations_recorded").inc()
@@ -169,11 +153,6 @@ class NullInstrumentation:
 
     def phase(self, name: str, **data: Any) -> NullSpan:
         return NULL_SPAN
-
-    def phase_observation(
-        self, name: str, duration: float, *, worker: Optional[int] = None, **data: Any
-    ) -> None:
-        pass
 
     def iteration(self, iteration: int, **data: Any) -> None:
         pass

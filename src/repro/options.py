@@ -1,13 +1,12 @@
 """The unified solver-option surface: one frozen :class:`SolveOptions`.
 
-The keyword surface of :func:`repro.solve` accreted one axis at a time --
-``workers=`` (PR 3), ``backend=``/``staleness=`` (PR 4), ``validate=``
-(PR 5) -- and the CLI and :class:`repro.online.OnlineOrchestrator` each
-re-spelled the same knobs.  :class:`SolveOptions` is the single source of
-truth: every entry point (``solve()``, the CLI, the orchestrator) accepts
-one frozen options object, and the drifted per-call kwargs survive as
-deprecated aliases that construct the same object internally (see the
-migration table in docs/api.md).
+The keyword surface of :func:`repro.solve` accreted one axis at a time,
+and the CLI and :class:`repro.online.OnlineOrchestrator` each re-spelled
+the same knobs.  :class:`SolveOptions` is the single source of truth:
+every entry point (``solve()``, the CLI, the orchestrator) accepts one
+frozen options object, and the per-call kwargs survive as deprecated
+aliases that construct the same object internally (see the migration
+table in docs/api.md).
 
 Round-trip law (pinned by tests/test_options.py)::
 
@@ -37,16 +36,10 @@ class SolveOptions:
     config:
         The method's config object (:class:`~repro.core.GradientConfig` or
         :class:`~repro.core.BackpressureConfig`), or ``None`` for defaults.
-    workers:
-        Parallel shard count: ``None`` (serial), an int, or ``"auto"``.
-    backend:
-        Backend name (``"serial"``/``"thread"``/``"process"``/``"auto"``)
-        or a borrowed :class:`~repro.parallel.ExecutionBackend` instance.
     staleness:
-        Bounded-staleness batch depth for the process backend (``None`` /
-        ``0`` keeps the synchronous bit-identical schedule).  Under
-        ``execution="async"`` the same number bounds how many epochs a
-        node's neighbour view may lag before it must wait.
+        The async engine's freshness bound (``method="distributed"``,
+        ``execution="async"`` only): how many epochs a node's neighbour
+        view may lag before it must wait.
     execution:
         Execution model for ``method="distributed"``: ``None``/``"sync"``
         for the phase-barrier runner, ``"async"`` for the barrier-free
@@ -61,8 +54,6 @@ class SolveOptions:
 
     method: str = "gradient"
     config: Any = None
-    workers: Union[int, str, None] = None
-    backend: Any = None
     staleness: Optional[int] = None
     execution: Optional[str] = None
     validate: Union[bool, str] = False

@@ -1,16 +1,9 @@
-"""Parallel execution backends for the gradient engine.
+"""The gradient engine's execution backend.
 
-See :mod:`repro.parallel.backend` for the backend classes and
-``docs/parallelism.md`` for the design: per-commodity sharding over a
-thread pool (:class:`ThreadBackend`, zero-copy) or a process pool
-(:class:`ParallelBackend`, shared-memory array exchange, optional
-bounded-staleness batched dispatch), the determinism contract that keeps
-synchronous parallel iterates bit-identical to serial ones, and the
-size-aware auto-selection behind ``workers="auto"``.
+See :mod:`repro.parallel.backend`: :class:`SerialBackend` runs each
+iteration as one in-process pass over the model core's allowed cells.
 
-The names below are imported on first access (PEP 562), and the pool
-modules load only when a pool starts: a serial solve never imports
-``multiprocessing`` or ``concurrent.futures``.
+The names below are imported on first access (PEP 562).
 """
 
 import importlib
@@ -20,13 +13,6 @@ _BACKEND = "repro.parallel.backend"
 _EXPORTS = {
     "ExecutionBackend": _BACKEND,
     "SerialBackend": _BACKEND,
-    "ThreadBackend": "repro.parallel.threads",
-    "ParallelBackend": _BACKEND,
-    "resolve_backend": _BACKEND,
-    "auto_backend": _BACKEND,
-    "available_cpus": _BACKEND,
-    "BACKEND_NAMES": _BACKEND,
-    "REPRO_BACKEND_ENV": _BACKEND,
 }
 
 __all__ = list(_EXPORTS)

@@ -1,7 +1,7 @@
 """``repro.serve``: admission control as a service on the delta core.
 
 The daemon (:class:`AdmissionServer`) owns a live epoch-versioned model
-plus a warm execution backend, accepts admit/depart/demand-change requests
+plus a warm gradient engine, accepts admit/depart/demand-change requests
 over the newline-delimited JSON ``repro.serve/1`` protocol, coalesces
 bursts inside a batch window into few :class:`~repro.core.delta.
 ProblemDelta` applications, and answers from the latest *converged,

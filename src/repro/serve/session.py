@@ -1,7 +1,7 @@
 """The live model a serve daemon owns: epochs in, snapshots out.
 
 :class:`ServeSession` wraps the delta core (:mod:`repro.core.delta`), a warm
-execution backend (:mod:`repro.parallel`), and the invariant checker
+gradient engine (:mod:`repro.core.gradient`), and the invariant checker
 (:mod:`repro.validate`) into the publish loop the daemon drives:
 
 1. a drained batch of online events is applied through
@@ -9,8 +9,8 @@ execution backend (:mod:`repro.parallel`), and the invariant checker
    merged :class:`~repro.core.delta.ProblemDelta`, structural events one
    each -- with routing carried across every epoch
    (:func:`~repro.core.delta.carry_routing`), one ``emergency_shed`` per
-   drained batch (mid-batch routing is never read), and the backend
-   refreshed in place, so the worker pool survives,
+   drained batch (mid-batch routing is never read), and the engine
+   rebound to the new epoch in place,
 2. the gradient engine *refines* the carried state for a bounded number of
    iterations (the background re-optimisation -- warm starts mean a few
    iterations recover most of the utility, see docs/online.md); a refine
@@ -118,9 +118,6 @@ class ServeSession:
         self.inst = inst
 
         config: Optional[GradientConfig] = None
-        backend = None
-        workers = None
-        staleness = None
         if options is not None:
             from repro.options import SolveOptions
 
@@ -134,20 +131,10 @@ class ServeSession:
                     f"got options.method={options.method!r}"
                 )
             config = options.config
-            backend = options.backend
-            workers = options.workers
-            staleness = options.staleness
         self.config = config or GradientConfig()
 
         self.ext = build_extended_network(network)
-        from repro.parallel.backend import resolve_backend
-
-        self.backend = resolve_backend(
-            backend, workers, ext=self.ext, staleness=staleness,
-            instrumentation=inst,
-        )
-        self._owns_backend = self.backend is not backend
-        self.algo = GradientAlgorithm(self.ext, self.config, backend=self.backend)
+        self.algo = GradientAlgorithm(self.ext, self.config)
         self.routing = initial_routing(self.ext)
 
         self.refine_iterations = refine_iterations
@@ -293,7 +280,7 @@ class ServeSession:
         self.inst.gauge("serve.epoch", float(self.ext.epoch))
 
     def _refine(self, iterations: int) -> None:
-        routing, context = self.backend.advance(
+        routing, context = self.algo.backend.advance(
             self.routing, None, iterations, eta=self.config.eta
         )
         self.routing = routing
@@ -423,10 +410,6 @@ class ServeSession:
         return snapshot
 
     def close(self) -> None:
-        """Release the execution backend (idempotent)."""
+        """Refuse further batches (idempotent)."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            if self._owns_backend:
-                self.backend.close()

@@ -15,10 +15,9 @@ exactly that claim:
   view is *fresh enough* under the **bounded-staleness rule**: node ``i``
   at local epoch ``e`` may run a local iteration once every downstream
   marginal report and every upstream forecast carries an epoch stamp
-  ``>= max(0, e - staleness)``.  This is the same contract the PR 6
-  process backend validates (``staleness=K`` batched dispatch, drift
-  gated at :data:`repro.validate.STALENESS_DRIFT_RTOL`), executed here at
-  per-message granularity.  A local iteration recomputes eq. (15)'s
+  ``>= max(0, e - staleness)``.  The final utility's drift from the
+  synchronous engine is gated at
+  :data:`repro.validate.STALENESS_DRIFT_RTOL`.  A local iteration recomputes eq. (15)'s
   per-edge marginals and eqs. (9)-(11)'s node marginal from the stale
   view, applies the *same* node-local ``Gamma`` kernel as every other
   engine (:func:`repro.core.gradient.apply_gamma_at_node`), refreshes
@@ -67,7 +66,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.context import IterationContext
+from repro.core.context import IterationContext, build_iteration_context
 from repro.core.gradient import GradientConfig, IterationRecord, apply_gamma_at_node
 from repro.core.result import RunResultMixin
 from repro.core.routing import RoutingState, initial_routing, utilization_profile
@@ -596,7 +595,7 @@ class AsyncGradientRun:
     """Run the gradient protocol with no global barrier anywhere.
 
     The constructor mirrors :class:`~repro.simulation.runner.DistributedGradientRun`
-    (same config object, same backend-for-snapshots contract) plus the
+    (same config object, same per-record snapshot evaluation) plus the
     async knobs: ``staleness`` (the freshness bound), ``faults`` (a
     :class:`FaultSpec` or ``None`` for a perfect network), ``seed`` (the
     channel's fault trace), and ``tick_interval`` (the local retransmit
@@ -615,7 +614,6 @@ class AsyncGradientRun:
         fault_until_tick: Optional[int] = None,
         tick_interval: int = DEFAULT_TICK_INTERVAL,
         instrumentation=None,
-        backend=None,
     ):
         self.ext = ext
         self.config = config or GradientConfig()
@@ -623,12 +621,6 @@ class AsyncGradientRun:
         self.inst = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
-        if backend is None:
-            from repro.parallel.backend import SerialBackend
-
-            backend = SerialBackend()
-        self.backend = backend
-        backend.bind(self.ext, self.config)
 
         channel: Optional[FaultyChannel] = None
         if faults is not None or links:
@@ -739,8 +731,9 @@ class AsyncGradientRun:
             if self._min_epoch < checkpoint:
                 self._raise_deadlock(checkpoint)
             snapshot = self.export_routing()
-            context = self.backend.build_context(
-                snapshot, instrumentation=inst, with_derivatives=False
+            context = build_iteration_context(
+                self.ext, snapshot, self.config.cost_model,
+                with_derivatives=False, instrumentation=inst,
             )
             record = self._record(checkpoint, context)
             history.append(record)

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.context import IterationContext
+from repro.core.context import IterationContext, build_iteration_context
 from repro.core.gradient import GradientConfig, IterationRecord
 from repro.core.result import RunResultMixin
 from repro.core.routing import RoutingState, initial_routing, utilization_profile
@@ -70,21 +70,12 @@ class DistributedGradientRun:
         config: Optional[GradientConfig] = None,
         hop_latency: int = 1,
         instrumentation=None,
-        backend=None,
     ):
         self.ext = ext
         self.config = config or GradientConfig()
         self.inst = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
-        # the protocol itself runs in the agents; the backend only evaluates
-        # the per-record cost snapshots (a parallel one shards that flow solve)
-        if backend is None:
-            from repro.parallel.backend import SerialBackend
-
-            backend = SerialBackend()
-        self.backend = backend
-        backend.bind(self.ext, self.config)
         self.engine = EventEngine(hop_latency=hop_latency)
         self.agents: List[NodeAgent] = []
         for node in range(ext.num_nodes):
@@ -188,8 +179,9 @@ class DistributedGradientRun:
             if iteration % record_every == 0 or iteration == iterations:
                 snapshot = self.export_routing()
                 # one flow solve per record; no derivatives needed here
-                context = self.backend.build_context(
-                    snapshot, instrumentation=inst, with_derivatives=False
+                context = build_iteration_context(
+                    self.ext, snapshot, self.config.cost_model,
+                    with_derivatives=False, instrumentation=inst,
                 )
                 record = self._record(iteration, context)
                 history.append(record)

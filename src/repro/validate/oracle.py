@@ -1,19 +1,15 @@
 """Differential oracle: two solvers, one workload, a toleranced diff.
 
 The highest-leverage guard for perf work on this codebase is not a unit
-test but a *differential* one: run two algorithms (or the same algorithm
-on two execution backends) on the same instance and compare admitted
-rates, flows, and final utility.  Two comparison regimes:
-
-* **cross-algorithm** (gradient vs the centralized LP / Frank-Wolfe
-  optimum, or vs back-pressure): utilities must agree within a relative
-  tolerance.  Admitted rates and flows are reported but not enforced by
-  default -- optima can be degenerate, so different solvers legitimately
-  reach the same utility through different rates.
-* **cross-backend** (serial vs ``workers=N``): the parallel backend's
-  contract is *bit-identity* (docs/parallelism.md), so
-  :meth:`DifferentialOracle.compare_backends` requires exact equality of
-  the routing matrix, the admitted rates, and every recorded utility.
+test but a *differential* one: run two algorithms on the same instance
+and compare admitted rates, flows, and final utility.  Utilities must
+agree within a relative tolerance (gradient vs the centralized LP /
+Frank-Wolfe optimum, or vs back-pressure).  Admitted rates and flows are
+reported but not enforced by default -- optima can be degenerate, so
+different solvers legitimately reach the same utility through different
+rates.  ``require_bit_identical=True`` additionally demands exact equality
+of the routing matrix, the admitted rates, and every recorded utility
+(the synchronous gradient engine against the distributed runner, say).
 
 The calibrated gradient configuration below is what the CI fuzz sweep
 (``benchmarks/fuzz_oracle.py``) runs over the seed matrix of
@@ -43,16 +39,13 @@ __all__ = [
     "DifferentialOracle",
 ]
 
-# The documented drift bound of the process backend's bounded-staleness
-# batched dispatch (``staleness > 0``): the relaxed run's final utility must
-# stay within this relative tolerance of the synchronous serial run on the
-# same instance.  Small staleness only delays the global ``dadf`` by a few
-# iterations -- well inside the tolerance the paper's Section-5 asynchronous
-# protocol grants -- so drift stays a fraction of the eps-barrier headroom
-# (see docs/parallelism.md and benchmarks/bench_stale_marginals.py for the
-# measurements behind the number).  Use
-# ``DifferentialOracle(utility_rtol=STALENESS_DRIFT_RTOL).compare(...)``;
-# ``compare_backends`` stays reserved for the bit-identity contract.
+# The drift bound of the barrier-free async engine (``staleness > 0``): its
+# final utility must stay within this relative tolerance of the synchronous
+# run on the same instance.  Small staleness only delays the neighbour
+# marginals by a few epochs -- well inside the tolerance the paper's
+# Section-5 asynchronous protocol grants -- so drift stays a fraction of
+# the eps-barrier headroom (benchmarks/bench_stale_marginals.py and
+# benchmarks/bench_async.py hold the measurements behind the number).
 STALENESS_DRIFT_RTOL = 0.02
 
 
@@ -66,19 +59,15 @@ def calibrated_gradient_config(max_iterations: int = 6000) -> GradientConfig:
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One side of a differential comparison: method + config + backend.
+    """One side of a differential comparison: method + config + engine.
 
-    ``workers``/``backend``/``staleness`` are forwarded verbatim to
-    :func:`repro.solve`, so a spec can pin any execution backend: the
-    process pool (``workers=N``), the thread pool (``backend="thread"``),
-    auto-selection (``workers="auto"``), or the relaxed batched mode
-    (``staleness=K``).
+    ``staleness``/``execution`` are forwarded verbatim to
+    :func:`repro.solve`, so a spec can pin the async engine and its
+    freshness bound.
     """
 
     method: str = "gradient"
     config: Any = None
-    workers: Any = None
-    backend: Any = None
     label: Optional[str] = None
     staleness: Optional[int] = None
     # execution model for method="distributed": None/"sync" phase barriers,
@@ -90,10 +79,6 @@ class AlgorithmSpec:
         if self.label:
             return self.label
         parts = []
-        if self.backend is not None:
-            parts.append(f"backend={self.backend}")
-        if self.workers is not None:
-            parts.append(f"workers={self.workers}")
         if self.staleness:
             parts.append(f"staleness={self.staleness}")
         if self.execution is not None:
@@ -279,8 +264,6 @@ class DifferentialOracle:
                     stream_network,
                     method=spec.method,
                     config=spec.config,
-                    workers=spec.workers,
-                    backend=spec.backend,
                     staleness=spec.staleness,
                     execution=spec.execution,
                     full_result=True,
@@ -343,40 +326,6 @@ class DifferentialOracle:
             validation_passed=validation_passed,
         )
 
-    def compare_backends(
-        self,
-        stream_network,
-        workers: Any = 2,
-        method: str = "gradient",
-        config: Any = None,
-        validate: Any = False,
-        backend: Any = None,
-    ) -> OracleReport:
-        """Serial vs a parallel backend on the same workload: must be bit-equal.
-
-        This is the oracle form of the determinism contract in
-        docs/parallelism.md -- the report fails unless the full routing
-        matrix, the admitted rates, and every recorded utility agree
-        exactly across backends.  ``backend`` picks the parallel side
-        (default: the historical process pool; pass ``"thread"`` for the
-        zero-copy thread backend).  The bit-identity requirement covers
-        only synchronous schedules: for ``staleness > 0`` runs use
-        :meth:`compare` with ``utility_rtol=STALENESS_DRIFT_RTOL`` instead.
-        """
-        spec_a = AlgorithmSpec(
-            method=method, config=config, label=f"{method}[serial]"
-        )
-        spec_b = AlgorithmSpec(
-            method=method, config=config, workers=workers, backend=backend
-        )
-        return self.compare(
-            stream_network,
-            spec_a,
-            spec_b,
-            validate=validate,
-            require_bit_identical=True,
-        )
-
     def compare_async(
         self,
         stream_network,
@@ -398,10 +347,7 @@ class DifferentialOracle:
         :class:`~repro.simulation.AsyncGradientRun` so the comparison can
         inject faults (``faults``/``links``/``seed``/``fault_until_tick``
         are forwarded to its :class:`~repro.simulation.FaultyChannel`).
-        The enforced bound defaults to :data:`STALENESS_DRIFT_RTOL` -- the
-        same contract the process backend's bounded-staleness mode
-        carries, which is exactly the relaxation the async freshness rule
-        re-implements at per-message granularity.
+        The enforced bound defaults to :data:`STALENESS_DRIFT_RTOL`.
         """
         from dataclasses import replace as dc_replace
 

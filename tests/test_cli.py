@@ -177,38 +177,24 @@ class TestSolve:
         )
         assert code == 0
 
-    def test_workers_flag_matches_serial(self, model_path, capsys):
-        """--workers shards the iteration across processes; the solution must
-        be bit-identical to the serial run (the backend's core contract)."""
-        assert (
-            main(["solve", str(model_path), "--max-iterations", "60", "--json"])
-            == 0
-        )
-        serial = json.loads(capsys.readouterr().out)
-        assert (
-            main(
-                [
-                    "solve",
-                    str(model_path),
-                    "--max-iterations",
-                    "60",
-                    "--workers",
-                    "2",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        parallel = json.loads(capsys.readouterr().out)
-        assert parallel["final_utility"] == serial["final_utility"]
-        assert parallel["solution"]["admitted"] == serial["solution"]["admitted"]
-        assert parallel["trajectory"] == serial["trajectory"]
+    def test_async_staleness_flag(self, model_path, capsys):
+        """--staleness is the async engine's freshness bound."""
+        argv = ["solve", str(model_path), "--method", "distributed",
+                "--execution", "async", "--max-iterations", "40", "--json"]
+        assert main(argv + ["--staleness", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["final_utility"] > 0
 
-    def test_workers_rejected_for_optimal(self, model_path):
-        with pytest.raises(TypeError, match="workers"):
-            main(
-                ["solve", str(model_path), "--method", "optimal", "--workers", "2"]
-            )
+    def test_staleness_rejected_outside_async(self, model_path):
+        with pytest.raises(TypeError, match="staleness"):
+            main(["solve", str(model_path), "--staleness", "2"])
+
+    @pytest.mark.parametrize("flag", ["--workers", "--backend"])
+    def test_retired_pool_flags_exit_2(self, model_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(model_path), flag, "2"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_retired_eta_flag_exits_2(self, model_path, capsys):
         with pytest.raises(SystemExit) as exc:

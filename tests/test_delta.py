@@ -2,8 +2,8 @@
 
 The contract under test: applying a compiled delta is **bit-identical** to
 rebuilding the extended network from scratch (down to every vectorization
-plan), epochs advance by exactly one per event, and the parallel backend
-survives an epoch refresh without recreating its worker pool.
+plan), epochs advance by exactly one per event, and a refreshed gradient
+engine iterates on the new epoch exactly as a freshly built one does.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.online import (
     apply_event,
 )
 from repro.online import rebuild as rebuild_module
-from repro.parallel.backend import ParallelBackend
 from repro.validate import DifferentialOracle
 from repro.validate.strategies import event_sequences
 from repro.scenarios import ChurnSpec, churn_network, churn_trace, figure1_network
@@ -212,10 +211,10 @@ class TestEventSequenceProperty:
         assert report.passed, report.summary()
 
 
-class TestPoolSurvival:
-    """Acceptance bar: an event does not tear down the worker pool."""
-
-    def test_refresh_keeps_pool_and_matches_serial(self):
+class TestEngineRefresh:
+    def test_refreshed_engine_matches_a_fresh_one(self):
+        """``GradientAlgorithm.refresh`` rebinds the engine to the delta's
+        network: its steps equal a new engine's on that network, bitwise."""
         net = churn_network(num_nodes=20, num_commodities=3, seed=5)
         events = [
             DemandChange(1, commodity=net.commodities[0].name, new_rate=25.0),
@@ -223,56 +222,22 @@ class TestPoolSurvival:
             CommodityDeparture(3, commodity=net.commodities[2].name),
         ]
         config = GradientConfig(eta=0.02)
-        ext_p = build_extended_network(net)
-        ext_s = build_extended_network(net)
-        with ParallelBackend(workers=2) as backend:
-            algo_p = GradientAlgorithm(ext_p, config, backend=backend)
-            algo_s = GradientAlgorithm(ext_s, config)
-            rp, rs = initial_routing(ext_p), initial_routing(ext_s)
-            for _ in range(3):  # force the pool to start
-                rp, rs = algo_p.step(rp), algo_s.step(rs)
-            pool = backend._pool
-            assert pool is not None
-            pids = {p.pid for p in pool._processes.values()}
-            scalar_specs = dict(backend._shm.specs)
-
-            for event in events:
-                delta_p = compile_event(ext_p, event)
-                applied_p = apply_delta(ext_p, delta_p)
-                rp = carry_routing(ext_p, rp, applied_p.ext, applied_p.maps)
-                algo_p.refresh(applied_p)
-                ext_p = applied_p.ext
-
-                delta_s = compile_event(ext_s, event)
-                applied_s = apply_delta(ext_s, delta_s)
-                rs = carry_routing(ext_s, rs, applied_s.ext, applied_s.maps)
-                algo_s.refresh(applied_s)
-                ext_s = applied_s.ext
-
-                for _ in range(2):
-                    rp, rs = algo_p.step(rp), algo_s.step(rs)
-                # parallel iterates stay bit-identical to serial across epochs
-                np.testing.assert_array_equal(rp.phi, rs.phi)
-
-                assert backend._pool is pool  # never torn down
-                assert {p.pid for p in pool._processes.values()} == pids
-
-    def test_scalar_refresh_republishes_no_segments(self):
-        net = churn_network(num_nodes=20, num_commodities=3, seed=5)
         ext = build_extended_network(net)
-        with ParallelBackend(workers=2) as backend:
-            algo = GradientAlgorithm(ext, GradientConfig(eta=0.02), backend=backend)
-            routing = algo.step(initial_routing(ext))
-            specs_before = dict(backend._shm.specs)
-            delta = compile_event(
-                ext, DemandChange(1, commodity=net.commodities[0].name,
-                                  new_rate=30.0)
-            )
-            applied = apply_delta(ext, delta)
+        algo = GradientAlgorithm(ext, config)
+        routing = initial_routing(ext)
+        for _ in range(3):
+            routing = algo.step(routing)
+        for event in events:
+            applied = apply_delta(ext, compile_event(ext, event))
+            routing = carry_routing(ext, routing, applied.ext, applied.maps)
             algo.refresh(applied)
-            # a scalar epoch ships a few-byte patch: every shm block survives
-            assert dict(backend._shm.specs) == specs_before
-            algo.step(routing)  # and the pool still computes on the new epoch
+            ext = applied.ext
+            fresh = GradientAlgorithm(ext, config)
+            got, want = routing, routing
+            for _ in range(2):
+                got, want = algo.step(got), fresh.step(want)
+            assert got.phi.tobytes() == want.phi.tobytes()
+            routing = got
 
 
 class TestRebuildErrorHandling:

@@ -414,6 +414,40 @@ class TestGammaKernelProperties:
         assert phi_batch.tobytes() == phi_scalar.tobytes()
 
 
+class TestBackendAdvance:
+    """``SerialBackend.advance`` -- the serve session's refine -- runs the
+    run loop's own calls: ``k`` rounds of ``step`` + ``compute_context``."""
+
+    CONTEXT_ARRAYS = ("traffic", "edge_usage", "node_usage", "dadf", "dadr", "delta")
+
+    @pytest.mark.parametrize("eta", [None, 0.02])
+    def test_advance_matches_step_and_context_rounds(self, figure4_ext, eta):
+        config = GradientConfig(max_iterations=200)
+        # a warm start: on Figure 4 the blocked sets are non-empty from
+        # about iteration 190 on, so the refine exercises the tag flood
+        start = GradientAlgorithm(figure4_ext, config).run().solution.routing
+        algo = GradientAlgorithm(figure4_ext, config)
+        k = 12
+
+        got, got_ctx = algo.backend.advance(start, None, k, eta=eta)
+
+        want = start
+        want_ctx = algo.compute_context(want)
+        for _ in range(k):
+            want = algo.step(want, eta=eta, context=want_ctx)
+            want_ctx = algo.compute_context(want)
+
+        assert got.phi.tobytes() == want.phi.tobytes()
+        assert got_ctx.routing is got
+        for name in self.CONTEXT_ARRAYS:
+            a, b = getattr(got_ctx, name), getattr(want_ctx, name)
+            assert a.tobytes() == b.tobytes(), name
+        assert got_ctx.cost == want_ctx.cost
+        assert got_ctx.breakdown.admitted.tobytes() == (
+            want_ctx.breakdown.admitted.tobytes()
+        )
+
+
 class TestIterationCache:
     def test_flow_balance_solved_once_per_iteration(self, diamond_ext, monkeypatch):
         """The whole point of the IterationContext: an N-iteration run solves

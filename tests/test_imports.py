@@ -2,8 +2,8 @@
 
 The solver's cold start loads only what a solve uses: the gradient core
 never imports networkx (scenarios and exports only) or any of scipy (the
-LP reference and the validators), a serial solve never loads the pool
-modules, and a run imports nothing at all.  Each floor check runs in a
+LP reference and the validators), nor any pool or the delta layer, and a
+run imports nothing at all.  Each floor check runs in a
 fresh interpreter, since this test process has long since imported
 everything.
 """
@@ -28,15 +28,8 @@ from repro.scenarios import diamond_network
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HEAVY = ("networkx", "scipy")
-# the process and thread pools and the delta layer their workers patch with
-POOL = (
-    "multiprocessing",
-    "concurrent.futures",
-    "repro.parallel.worker",
-    "repro.parallel.threads",
-    "repro.parallel.shm",
-    "repro.core.delta",
-)
+# process and thread pools, and the online delta layer: no solve uses them
+POOL = ("multiprocessing", "concurrent.futures", "repro.core.delta")
 
 
 def _run(code: str, stdin: str = "") -> dict:
@@ -65,7 +58,7 @@ def test_core_modules_load_no_heavy_dependency():
 
 def test_solve_path_loads_no_scipy_and_no_pool():
     """Neither list loads at import, at ``GradientAlgorithm(...)`` or in
-    ``run()``: the pools load only when a pool starts."""
+    ``run()``."""
     model = json.dumps(network_to_dict(diamond_network()))
     loaded = _run(
         "import json, sys\n"

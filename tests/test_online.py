@@ -351,22 +351,3 @@ class TestOrchestrator:
             net, events, GradientConfig(eta=0.05), incremental=True
         ).run(200)
         assert [r.epoch for r in result.recoveries] == [1, 2]
-
-    def test_rejects_backend_and_workers_together(self):
-        from repro.parallel.backend import SerialBackend
-
-        with pytest.raises(ModelError):
-            OnlineOrchestrator(
-                figure1_network(), [], backend=SerialBackend(), workers=2
-            )
-
-    def test_orchestrator_with_parallel_workers_matches_serial(self):
-        net = figure1_network()
-        events = [DemandChange(at_iteration=60, commodity="S1", new_rate=25.0)]
-        serial = OnlineOrchestrator(
-            net, events, GradientConfig(eta=0.05), incremental=True
-        ).run(120)
-        parallel = OnlineOrchestrator(
-            net, events, GradientConfig(eta=0.05), incremental=True, workers=2
-        ).run(120)
-        assert parallel.final_utility == serial.final_utility

@@ -17,11 +17,10 @@ def fig4_network():
 class TestRoundTrip:
     def test_from_kwargs_of_to_kwargs_is_identity(self):
         opts = SolveOptions(
-            method="gradient",
+            method="distributed",
             config=GradientConfig(max_iterations=50),
-            workers=2,
-            backend="thread",
-            staleness=None,
+            staleness=2,
+            execution="async",
             validate="strict",
             full_result=True,
         )
@@ -36,12 +35,12 @@ class TestRoundTrip:
             SolveOptions.from_kwargs(eta=0.04)
 
     def test_replace_is_frozen_safe(self):
-        opts = SolveOptions(workers=2)
-        other = opts.replace(workers=4, backend="thread")
-        assert opts.workers == 2
-        assert other.workers == 4 and other.backend == "thread"
+        opts = SolveOptions(staleness=2)
+        other = opts.replace(staleness=4, execution="async")
+        assert opts.staleness == 2
+        assert other.staleness == 4 and other.execution == "async"
         with pytest.raises(Exception):
-            opts.workers = 8  # frozen
+            opts.staleness = 8  # frozen
 
 
 class TestSolveEquivalence:
@@ -60,7 +59,7 @@ class TestSolveEquivalence:
     def test_options_plus_kwargs_is_an_error(self, fig4_network):
         opts = SolveOptions(config=GradientConfig(max_iterations=10))
         with pytest.raises(TypeError, match="options="):
-            solve(fig4_network, options=opts, workers=2)
+            solve(fig4_network, options=opts, validate=True)
         with pytest.raises(TypeError, match="options="):
             solve(fig4_network, options=opts, method="gradient")
 
@@ -85,7 +84,9 @@ class TestOrchestratorOptions:
     def test_options_conflicts_with_aliases(self, fig4_network):
         opts = SolveOptions(config=GradientConfig(max_iterations=10))
         with pytest.raises(ModelError, match="not both"):
-            OnlineOrchestrator(fig4_network, [], options=opts, workers=2)
+            OnlineOrchestrator(
+                fig4_network, [], options=opts, config=GradientConfig()
+            )
 
     def test_non_gradient_options_rejected(self, fig4_network):
         with pytest.raises(ModelError, match="gradient"):

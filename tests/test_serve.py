@@ -439,28 +439,6 @@ class TestOrchestratorEpoch:
         orch.run(120)
         assert orch.current_epoch() >= 1  # the event bumped the live epoch
 
-    def test_epoch_attribute_is_deprecated_alias(self):
-        orch = OnlineOrchestrator(figure1_network(), [])
-        orch.run(60)
-        with pytest.deprecated_call():
-            legacy = orch.epoch
-        assert legacy == orch.current_epoch()
-
-    def test_epoch_deprecation_warns_once_per_instance(self):
-        import warnings
-
-        orch = OnlineOrchestrator(figure1_network(), [])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):  # a polling loop must not flood the log
-                orch.epoch
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        # a fresh instance gets its own single warning
-        other = OnlineOrchestrator(figure1_network(), [])
-        with pytest.deprecated_call():
-            other.epoch
-
 
 # ----------------------------------------------------------- serve session
 

@@ -1,4 +1,4 @@
-"""The commodity-major array core: layout, kernels, blocks, bit-identity.
+"""The commodity-major array core: layout, kernels, bit-identity.
 
 Every comparison here is against the scalar reference implementations
 (``solve_traffic_scalar``, ``marginal_cost_to_destination_scalar``,
@@ -28,7 +28,6 @@ from repro.core.marginals import (
 )
 from repro.core.routing import (
     external_inputs,
-    external_inputs_rows,
     initial_routing,
     solve_traffic_scalar,
 )
@@ -185,30 +184,16 @@ class TestKernelBitIdentity:
         got = ModelState.of(ext).marginal_costs(routing.phi.reshape(-1), dadf)
         assert same_bytes(got, dadr)
 
-    def test_block_kernels_tile_the_full_sweep(self, ext):
-        routing, traffic, edge_usage, _nu, dadf, dadr = self._reference(ext)
+    def test_reverse_wave_writes_delta_on_every_cell(self, ext):
+        """With a ``(P,)`` buffer the reverse wave stores eq. (15) on every
+        allowed cell; a NaN-filled buffer shows any cell it misses."""
+        routing, *_rest, dadf, dadr = self._reference(ext)
         state = ModelState.of(ext)
-        J = ext.num_commodities
-        phi_flat = routing.phi.reshape(-1)
-        # forward, one commodity at a time
-        t = external_inputs(ext)
-        for j in range(J):
-            t[j : j + 1] = external_inputs_rows(ext, j, j + 1)
-            state.solve_traffic_block(t.reshape(-1), phi_flat, j, j + 1)
-        assert same_bytes(t, traffic)
-        # usage partials in ascending shard order
-        mid = max(1, J // 2)
-        partial = state.usage_partial_block(
-            phi_flat, t.reshape(-1), 0, mid
-        ) + state.usage_partial_block(phi_flat, t.reshape(-1), mid, J)
-        assert same_bytes(partial, edge_usage)
-        # reverse, per-commodity rows, each storing its block's delta cells
         got = np.zeros_like(dadr)
         delta = np.full(state.num_cells, np.nan)
-        for j in range(J):
-            state.marginal_costs_block(
-                got.reshape(-1), phi_flat, dadf, j, j + 1, delta
-            )
+        state.marginal_costs_into(
+            got.reshape(-1), routing.phi.reshape(-1), dadf, delta
+        )
         assert same_bytes(got, dadr)
         assert same_bytes(delta, reference_delta_cells(ext, dadf, dadr))
 
@@ -256,7 +241,7 @@ class TestKernelBitIdentity:
         state = ModelState.of(ext)
         levels = [
             lv
-            for lv in state.forward_levels + state.reverse_levels
+            for lv in state.forward.levels + state.reverse.levels
             if lv.indptr is None
         ]
         assert levels, "expected at least one one-to-one level"
@@ -277,7 +262,7 @@ class TestKernelBitIdentity:
 
     def test_every_cell_on_exactly_one_reverse_level(self, ext):
         state = ModelState.of(ext)
-        positions = state.block(0, ext.num_commodities).reverse.cell_pos
+        positions = state.reverse.cell_pos
         assert same_bytes(np.sort(positions), np.arange(state.num_cells))
 
     def test_optimality_residual_same_with_context(self, ext):
@@ -372,22 +357,17 @@ class TestApiModule:
         for name in api.__all__:
             assert getattr(api, name) is not None
 
-    def test_deprecated_hot_state_warns_and_forwards(self):
-        import repro.api as api
-        from repro.core.routing import solve_traffic as real
-
-        with pytest.warns(DeprecationWarning, match="solve_traffic"):
-            shim = api.solve_traffic
-        assert shim is real
-
     def test_unknown_attribute_raises(self):
         import repro.api as api
 
         with pytest.raises(AttributeError):
             api.does_not_exist
 
-    def test_dir_lists_deprecated_names(self):
+    def test_retired_hot_state_names_are_gone(self):
+        """The per-commodity walks live in repro.core.routing/marginals; the
+        ModelState methods replace them on the public surface."""
         import repro.api as api
 
-        listing = dir(api)
-        assert "ModelState" in listing and "resource_usage" in listing
+        for name in ("solve_traffic", "resource_usage", "external_inputs",
+                     "all_marginal_costs"):
+            assert not hasattr(api, name)

@@ -297,11 +297,15 @@ class TestDifferentialOracle:
         assert report.passed, report.summary()
         assert report.utility_rel_diff <= 0.1
 
-    def test_serial_vs_parallel_bit_identical(self):
-        report = DifferentialOracle().compare_backends(
+    def test_gradient_vs_distributed_bit_identical(self):
+        """The message-passing runner computes the synchronous engine's
+        iterates: the bit-identity regime of the oracle."""
+        config = GradientConfig(eta=0.02, max_iterations=300, record_every=50)
+        report = DifferentialOracle().compare(
             diamond_network(),
-            workers=2,
-            config=calibrated_gradient_config(max_iterations=300),
+            AlgorithmSpec(method="gradient", config=config),
+            AlgorithmSpec(method="distributed", config=config),
+            require_bit_identical=True,
         )
         assert report.passed, report.summary()
         assert report.bit_identical
@@ -309,10 +313,12 @@ class TestDifferentialOracle:
         assert report.admitted_max_diff == 0.0
 
     def test_oracle_report_serializes(self):
-        report = DifferentialOracle().compare_backends(
+        config = calibrated_gradient_config(max_iterations=100)
+        report = DifferentialOracle().compare(
             diamond_network(),
-            workers=2,
-            config=calibrated_gradient_config(max_iterations=100),
+            AlgorithmSpec(method="gradient", config=config),
+            AlgorithmSpec(method="gradient", config=config, label="again"),
+            require_bit_identical=True,
         )
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["schema"] == "repro.oracle/1"
